@@ -9,7 +9,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveDiffusion
 from .linalg import TridiagonalOperator
-from .lowrank import LowRankFactors, core_truncate, joint_basis, truncate
+from .lowrank import LowRankFactors, conservative_truncate, truncate
+
+# rebound by the per-layer tracer in perfbench/layers.py; unused here
+from .lowrank import core_truncate, joint_basis  # noqa: F401
 
 
 def heat_grid(n):
@@ -59,22 +62,18 @@ def discrete_mass(f, dx, dy):
 def lomac_null_correction(f, n_exact, dx, dy, eps):
     """Mass-preserving truncation for a generator with a constant null mode.
 
-    Splits off the mean, truncates the remainder at ``eps``, then restores the
-    constant so the cell-sum mass equals ``n_exact`` exactly.  Returns
-    orthonormal factors of rank at most rank(f)+1.  All corrections act on
-    cores in one joint basis; only two small SVDs run per call.
+    The one-moment case of ``conservative_truncate``: the range is the
+    constant, the functional the cell sum dx*dy*sum_ij F_ij, pinned to
+    ``n_exact``.  Returns orthonormal factors of rank at most rank(f)+1.
     """
     n1, n2 = f.shape
-    area = n1 * n2 * dx * dy
-    qu, qv, core_f, cu, cv = joint_basis(
-        f, np.ones((n1, 1)), np.ones((n2, 1))
+    return conservative_truncate(
+        f,
+        np.ones((n1, 1)),
+        np.ones((n2, 1)),
+        np.full((1, n1), float(dx)),
+        np.full((1, n2), float(dy)),
+        np.ones((1, 1, 1)),
+        [n_exact],
+        eps,
     )
-    mean = discrete_mass(f, dx, dy) / area
-    corr = cu @ cv.T
-    core2, _, _, _ = core_truncate(core_f - mean * corr, eps)
-    t2 = LowRankFactors(qu, core2, qv, orthonormal=True)
-    c = (n_exact - discrete_mass(t2, dx, dy)) / area
-    final = core2 + c * corr
-    # rounding-level modes of the rank-(kept+1) core would inflate the rank
-    _, w1, sig, w2 = core_truncate(final, 1e-14 * np.linalg.norm(final))
-    return LowRankFactors(qu @ w1, np.diag(sig), qv @ w2, orthonormal=True)

@@ -22,13 +22,15 @@ from .krylov import lte_tolerance
 from .linalg import TridiagonalOperator
 from .lowrank import (
     LowRankFactors,
-    core_truncate,
-    joint_basis,
+    conservative_truncate,
     lr_add,
     lr_moments,
     spectral_scale,
     truncate,
 )
+
+# rebound by the per-layer tracer in perfbench/layers.py; unused here
+from .lowrank import core_truncate, joint_basis  # noqa: F401
 
 _NU_PREFACTOR = 2.0**2.5
 
@@ -420,74 +422,44 @@ def build_lbfp_operators(grid, dv, pairs):
     )
 
 
-def _range_columns(grid, w):
-    out = np.empty((grid.size, 3))
-    out[:, 0] = w
-    out[:, 1] = grid * w
-    out[:, 2] = grid * out[:, 1]
-    return out
-
-
-def _moment_rows(grid, dv):
+def _power_rows(grid, w):
+    """Rows (w, v w, v^2 w) on ``grid``."""
     rows = np.empty((3, grid.size))
-    rows[0] = dv
-    rows[1] = dv * grid
+    rows[0] = w
+    rows[1] = grid * w
     rows[2] = grid * rows[1]
     return rows
 
 
-def _core_moments(pu, core, pv):
-    m = pu @ core @ pv.T
-    return np.array([m[0, 0], m[1, 0], m[0, 1], m[2, 0] + m[0, 2]])
-
-
-def _range_core(c):
-    return np.array([[c[0], c[2], c[3]], [c[1], 0.0, 0.0], [c[3], 0.0, 0.0]])
-
-
-def _range_factors(c, grid1, grid2, w1, w2):
-    return LowRankFactors(
-        _range_columns(grid1, w1), _range_core(c), _range_columns(grid2, w2)
-    )
+# modes over the (1, v, v^2) columns of each side: n, gam1, gam2, |v|^2
+_MOMENT_MODES = np.zeros((4, 3, 3))
+_MOMENT_MODES[0, 0, 0] = 1.0
+_MOMENT_MODES[1, 1, 0] = 1.0
+_MOMENT_MODES[2, 0, 1] = 1.0
+_MOMENT_MODES[3, 2, 0] = _MOMENT_MODES[3, 0, 2] = 1.0
 
 
 def lomac_project(f, target, mass, grid1, grid2, dv, eps):
     """Truncate ``f`` to tolerance ``eps`` while pinning its moments to ``target``.
 
-    The moment-carrying part is represented in a Maxwellian-weighted
-    polynomial range {w w, v1 w w, w v2 w, (v1^2+v2^2-split) w w} paired with
-    the plain moment functionals (1, v1, v2, |v|^2); the oblique projector
-    G^-1 m(.) makes the remainder moment-free, so truncation acts only on it,
-    and the final core restores the target moments exactly.
+    The four-moment case of ``conservative_truncate``: the moment-carrying
+    part is represented in a Maxwellian-weighted polynomial range
+    {w w, v1 w w, w v2 w, (v1^2 + v2^2) w w} paired with the plain moment
+    functionals (1, v1, v2, |v|^2), pinned to ``target.as_vector()``.
     """
     vth2 = target.temperature(mass) / mass
     w1 = np.exp(-(grid1**2) / (2.0 * vth2))
     w2 = np.exp(-(grid2**2) / (2.0 * vth2))
-    qu, qv, core_f, cu, cv = joint_basis(
-        f, _range_columns(grid1, w1), _range_columns(grid2, w2)
+    return conservative_truncate(
+        f,
+        _power_rows(grid1, w1).T,
+        _power_rows(grid2, w2).T,
+        _power_rows(grid1, dv),
+        _power_rows(grid2, dv),
+        _MOMENT_MODES,
+        target.as_vector(),
+        eps,
     )
-    pu = _moment_rows(grid1, dv) @ qu
-    pv = _moment_rows(grid2, dv) @ qv
-    # moment map of representable range updates, through the same coordinate
-    # contractions as the measurement below: basis components dropped during
-    # the joint factorization otherwise break the pin once the v^2 row
-    # (norm ~ vmax^2 sqrt(n) dv) amplifies them
-    geff = np.empty((4, 4))
-    for j in range(4):
-        ej = np.zeros(4)
-        ej[j] = 1.0
-        geff[:, j] = _core_moments(pu, cu @ _range_core(ej) @ cv.T, pv)
-    # raw conditioning grows like vth^4; Jacobi scaling keeps it O(1)
-    dsc = 1.0 / np.sqrt(np.abs(np.diag(geff)))
-    geff_s = geff * dsc[:, None] * dsc[None, :]
-    c0 = dsc * np.linalg.solve(geff_s, dsc * _core_moments(pu, core_f, pv))
-    core2, _, _, _ = core_truncate(core_f - cu @ _range_core(c0) @ cv.T, eps)
-    resid = target.as_vector() - _core_moments(pu, core2, pv)
-    c_new = dsc * np.linalg.solve(geff_s, dsc * resid)
-    final = core2 + cu @ _range_core(c_new) @ cv.T
-    # rounding-level modes of the corrected core would inflate the rank
-    _, w1c, sig, w2c = core_truncate(final, 1e-14 * np.linalg.norm(final))
-    return LowRankFactors(qu @ w1c, np.diag(sig), qv @ w2c, orthonormal=True)
 
 
 @dataclass

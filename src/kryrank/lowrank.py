@@ -41,9 +41,6 @@ class LowRankFactors:
     def materialize(self):
         return self.u @ self.s @ self.v.T
 
-    def scaled(self, alpha):
-        return LowRankFactors(self.u, alpha * self.s, self.v, self.orthonormal)
-
 
 def truncate(f, eps):
     """SVD truncation keeping exactly the singular values sigma_j > eps.
@@ -102,6 +99,46 @@ def core_truncate(core, eps):
     w2 = w2[:, :keep]
     sig = sig[:keep]
     return (w1 * sig) @ w2.T, w1, sig, w2
+
+
+def conservative_truncate(f, range_u, range_v, rows_u, rows_v, modes, target, eps):
+    """Truncate ``f`` at ``eps`` while pinning k moments to ``target`` (LoMaC).
+
+    ``modes`` is a (k, p, q) stack of small cores E_j.  Moment j of F is
+    <E_j, rows_u F rows_v^T> and the range carrying the moments is spanned by
+    range_u E_j range_v^T, so one stack describes both maps.  An oblique
+    projection onto the range makes the remainder moment-free, only the
+    remainder is truncated, and the range coefficients are then solved for
+    so the moments equal ``target`` exactly.  All corrections act on cores in
+    one joint basis.  Returns orthonormal factors of rank at most
+    rank(f) + range columns.
+    """
+    modes = np.asarray(modes, dtype=float)
+    qu, qv, core_f, cu, cv = joint_basis(f, range_u, range_v)
+    pu = rows_u @ qu
+    pv = rows_v @ qv
+
+    def moments(core):
+        return np.einsum("jab,ab->j", modes, pu @ core @ pv.T)
+
+    def range_core(c):
+        return cu @ np.tensordot(c, modes, axes=1) @ cv.T
+
+    # moment map of representable range updates, through the same coordinate
+    # contractions as the measurement below: basis components dropped during
+    # the joint factorization otherwise break the pin once a large row (the
+    # v^2 row has norm ~ vmax^2 sqrt(n) dv) amplifies them
+    geff = np.column_stack([moments(cu @ e @ cv.T) for e in modes])
+    # raw conditioning can grow like vth^4; Jacobi scaling keeps it O(1)
+    dsc = 1.0 / np.sqrt(np.abs(np.diag(geff)))
+    geff_s = geff * dsc[:, None] * dsc[None, :]
+    c0 = dsc * np.linalg.solve(geff_s, dsc * moments(core_f))
+    core2, _, _, _ = core_truncate(core_f - range_core(c0), eps)
+    resid = np.asarray(target, dtype=float) - moments(core2)
+    final = core2 + range_core(dsc * np.linalg.solve(geff_s, dsc * resid))
+    # rounding-level modes of the corrected core would inflate the rank
+    _, w1, sig, w2 = core_truncate(final, 1e-14 * np.linalg.norm(final))
+    return LowRankFactors(qu @ w1, np.diag(sig), qv @ w2, orthonormal=True)
 
 
 def lr_add(f, g, alpha=1.0, beta=1.0):
