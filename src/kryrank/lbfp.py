@@ -148,74 +148,20 @@ class PairCoefficients:
 def collision_coefficients(states, species):
     """Pair table coeffs[a][b] evaluated at the given moment states.
 
-    nu_ab = 2^(5/2) e_a^2 e_b^2 n_b (m_b/(m_a+m_b)) (vth_a + vth_b)^(-3/2),
-    u_ab the velocity midpoint, and D_ab = T_ab/m_a with the pair temperature
-    T_ab = (m_a T_b + m_b T_a)/(m_a+m_b) + m_a m_b |u_a-u_b|^2/(4(m_a+m_b)),
-    the unique combination conserving momentum and energy jointly, since
-    m_a n_a nu_ab is symmetric in (a, b).
+    The formulas are those of ``_pair_table``, which the moment system uses.
     """
-    temps, vths, us = [], [], []
-    for sp, st in zip(species, states):
-        t = st.temperature(sp.mass)
-        if t <= 0:
-            raise NonPositiveDiffusion(
-                "species %s has non-positive temperature %g" % (sp.name, t)
-            )
-        temps.append(t)
-        vths.append(math.sqrt(t / sp.mass))
-        us.append(st.velocity())
-    coeffs = []
-    for a, sa in enumerate(species):
-        row = []
-        for b, sb in enumerate(species):
-            msum = sa.mass + sb.mass
-            nu = (
-                _NU_PREFACTOR
-                * sa.charge**2
-                * sb.charge**2
-                * states[b].n
-                * (sb.mass / msum)
-                * (vths[a] + vths[b]) ** -1.5
-            )
-            du2 = (us[a][0] - us[b][0]) ** 2 + (us[a][1] - us[b][1]) ** 2
-            t_pair = (sa.mass * temps[b] + sb.mass * temps[a]) / msum
-            t_pair += sa.mass * sb.mass * du2 / (4.0 * msum)
-            row.append(
-                PairCoefficients(
-                    nu=nu,
-                    u1=0.5 * (us[a][0] + us[b][0]),
-                    u2=0.5 * (us[a][1] + us[b][1]),
-                    diffusion=t_pair / sa.mass,
-                )
-            )
-        coeffs.append(row)
-    return coeffs
+    table = np.stack(_pair_table(_pack(states), _species_arrays(states, species)), -1)
+    return [[PairCoefficients(*pair) for pair in row] for row in table.tolist()]
 
 
-def moment_rhs(states, species, coeffs=None):
+def moment_rhs(states, species):
     """Time derivatives (dgam1, dgam2, denergy) per species; densities are fixed.
 
     dgam_a = sum_b nu_ab n_a (u_ab - u_a) and
     denergy_a = sum_b nu_ab (2 D_ab n_a - 2 E_a + u_ab . gam_a).
     """
-    if coeffs is None:
-        coeffs = collision_coefficients(states, species)
-    out = []
-    for a, st in enumerate(states):
-        u1, u2 = st.velocity()
-        dg1 = dg2 = de = 0.0
-        for b in range(len(states)):
-            pc = coeffs[a][b]
-            dg1 += pc.nu * st.n * (pc.u1 - u1)
-            dg2 += pc.nu * st.n * (pc.u2 - u2)
-            de += pc.nu * (
-                2.0 * pc.diffusion * st.n
-                - 2.0 * st.energy
-                + pc.u1 * st.gam1
-                + pc.u2 * st.gam2
-            )
-        out.append((dg1, dg2, de))
-    return out
+    out = _rhs_packed(_pack(states), _species_arrays(states, species))
+    return [tuple(row) for row in out.reshape(-1, 3).tolist()]
 
 
 def total_invariants(states, species):
@@ -267,23 +213,30 @@ def _species_arrays(states, species):
         * (mass[None, :] / msum)
     )
     m_outer_4msum = mass[:, None] * mass[None, :] / (4.0 * msum)
-    return n_arr, mass, msum, nu_pref, m_outer_4msum
+    names = [sp.name for sp in species]
+    return n_arr, mass, msum, nu_pref, m_outer_4msum, names
 
 
-def _rhs_packed(y, arrs):
-    """moment_rhs on the packed vector, vectorized over the pair table.
+def _pair_table(y, arrs):
+    """Pair coefficients (nu, u1, u2, D) as (s, s) arrays at the packed moments y.
 
-    Same arithmetic as collision_coefficients + moment_rhs, expressed on
-    (s, s) arrays; the Newton stage solver calls this inside its finite
-    difference loop.
+    nu_ab = 2^(5/2) e_a^2 e_b^2 n_b (m_b/(m_a+m_b)) (vth_a + vth_b)^(-3/2),
+    u_ab the velocity midpoint, and D_ab = T_ab/m_a with the pair temperature
+    T_ab = (m_a T_b + m_b T_a)/(m_a+m_b) + m_a m_b |u_a-u_b|^2/(4(m_a+m_b)),
+    the unique combination conserving momentum and energy jointly, since
+    m_a n_a nu_ab is symmetric in (a, b).
     """
-    n_arr, mass, msum, nu_pref, m_outer_4msum = arrs
+    n_arr, mass, msum, nu_pref, m_outer_4msum, names = arrs
     g1 = y[0::3]
     g2 = y[1::3]
-    en = y[2::3]
     u1 = g1 / n_arr
     u2 = g2 / n_arr
-    t = mass * (2.0 * en - u1 * g1 - u2 * g2) / (2.0 * n_arr)
+    t = mass * (2.0 * y[2::3] - u1 * g1 - u2 * g2) / (2.0 * n_arr)
+    bad = np.flatnonzero(t <= 0)
+    if bad.size:
+        raise NonPositiveDiffusion(
+            "species %s has non-positive temperature %g" % (names[bad[0]], t[bad[0]])
+        )
     vth = np.sqrt(t / mass)
     nu = nu_pref * (vth[:, None] + vth[None, :]) ** -1.5
     du2 = (u1[:, None] - u1[None, :]) ** 2 + (u2[:, None] - u2[None, :]) ** 2
@@ -291,13 +244,26 @@ def _rhs_packed(y, arrs):
     tpair = tpair + m_outer_4msum * du2
     um1 = 0.5 * (u1[:, None] + u1[None, :])
     um2 = 0.5 * (u2[:, None] + u2[None, :])
+    return nu, um1, um2, tpair / mass[:, None]
+
+
+def _rhs_packed(y, arrs):
+    """moment_rhs on the packed vector, vectorized over the pair table.
+
+    The Newton stage solver calls this inside its finite difference loop.
+    """
+    n_arr = arrs[0]
+    nu, um1, um2, diff = _pair_table(y, arrs)
+    g1 = y[0::3]
+    g2 = y[1::3]
+    en = y[2::3]
     out = np.empty_like(y)
-    out[0::3] = (nu * n_arr[:, None] * (um1 - u1[:, None])).sum(axis=1)
-    out[1::3] = (nu * n_arr[:, None] * (um2 - u2[:, None])).sum(axis=1)
+    out[0::3] = (nu * n_arr[:, None] * (um1 - (g1 / n_arr)[:, None])).sum(axis=1)
+    out[1::3] = (nu * n_arr[:, None] * (um2 - (g2 / n_arr)[:, None])).sum(axis=1)
     out[2::3] = (
         nu
         * (
-            2.0 * (tpair / mass[:, None]) * n_arr[:, None]
+            2.0 * diff * n_arr[:, None]
             - 2.0 * en[:, None]
             + um1 * g1[:, None]
             + um2 * g2[:, None]
@@ -311,8 +277,17 @@ def _moment_stage_solve(r, akk, dt, arrs, scale, max_newton=50):
     y = r.copy()
     m = y.size
     history = []
+
+    def rhs(x):
+        try:
+            return _rhs_packed(x, arrs)
+        except NonPositiveDiffusion as exc:
+            raise NewtonDivergence(
+                "stage iterate is unphysical: %s" % exc, history
+            ) from exc
+
     for _ in range(max_newton):
-        fy = _rhs_packed(y, arrs)
+        fy = rhs(y)
         g = y - dt * akk * fy - r
         res = float(np.max(np.abs(g)))
         history.append(res)
@@ -323,7 +298,7 @@ def _moment_stage_solve(r, akk, dt, arrs, scale, max_newton=50):
             h = 1e-7 * (1.0 + abs(y[j]))
             yp = y.copy()
             yp[j] += h
-            gp = yp - dt * akk * _rhs_packed(yp, arrs) - r
+            gp = yp - dt * akk * rhs(yp) - r
             jac[:, j] = (gp - g) / h
         try:
             step = np.linalg.solve(jac, g)

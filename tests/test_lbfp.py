@@ -24,6 +24,7 @@ from kryrank.lbfp import (
     MomentState,
     PairCoefficients,
     SpeciesConfig,
+    _moment_stage_solve,
     _pack,
     _rhs_packed,
     _species_arrays,
@@ -263,11 +264,20 @@ class TestCollisionCoefficients:
                     assert abs(pc.u2 - u2) <= 1e-14 * (1 + abs(u2))
                     assert abs(pc.diffusion - d) <= 1e-14 * d
 
+    @pytest.mark.filterwarnings("error")
     def test_negative_temperature_rejected(self):
         # u.gam/2 = 2 exceeds the energy, so the thermal part is negative
         bad = MomentState(1.0, 2.0, 0.0, 1.0)
         with pytest.raises(NonPositiveDiffusion):
             collision_coefficients([bad], [SpeciesConfig("s", 1.0, 1.0)])
+
+    @pytest.mark.filterwarnings("error")
+    def test_unphysical_newton_iterate_is_newton_divergence(self):
+        bad = MomentState(1.0, 2.0, 0.0, 1.0)
+        arrs = _species_arrays([bad], [SpeciesConfig("s", 1.0, 1.0)])
+        with pytest.raises(NewtonDivergence) as info:
+            _moment_stage_solve(_pack([bad]), 1.0, 0.1, arrs, 1.0)
+        assert isinstance(info.value.__cause__, NonPositiveDiffusion)
 
 
 class TestMomentRhs:
@@ -340,14 +350,6 @@ class TestMomentRhs:
                     got = packed[3 * a + j]
                     want = flat[3 * a + j]
                     assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
-
-    def test_explicit_coeffs_equivalent(self):
-        states = fast_pair_states()
-        base = moment_rhs(states, OJE_PAIR)
-        given = moment_rhs(
-            states, OJE_PAIR, coeffs=collision_coefficients(states, OJE_PAIR)
-        )
-        assert base == given
 
 
 class TestEquilibriumState:
