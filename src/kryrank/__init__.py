@@ -17,7 +17,6 @@ from .dirk import (
     builtin_tables,
     dirk_step,
     get_table,
-    stage_rhs,
 )
 from .errors import (
     BasisSaturated,
@@ -26,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     KryrankError,
     MaxIterationsExceeded,
-    MissingStage,
     NewtonDivergence,
     NonPositiveDiffusion,
     SingularOperator,
@@ -44,7 +42,6 @@ from .krylov import (
     SolveDiagnostics,
     adaptive_stage_solve,
     assemble_galerkin,
-    diagnostics_rows,
     grow_basis,
     lte_tolerance,
     residual_norm,
@@ -78,10 +75,10 @@ from .linalg import (
     mgs_qr,
     reduced_svd,
     solve_sylvester_dense,
-    tridiag_solve,
 )
 from .lowrank import (
     LowRankFactors,
+    conservative_truncate,
     lr_add,
     lr_frobenius,
     lr_moments,

@@ -13,7 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config
-from .errors import ConfigError, KryrankError
+from .errors import (
+    ConfigError,
+    KryrankError,
+    MaxIterationsExceeded,
+    NewtonDivergence,
+)
 from .experiments import (
     run_compare,
     run_complexity,
@@ -108,6 +113,18 @@ def _self_check(seed):
     return results
 
 
+def _failure_details(exc):
+    """Residual history and best basis ranks a failed solve carries, as lines."""
+    lines = []
+    if isinstance(exc, (MaxIterationsExceeded, NewtonDivergence)):
+        lines.append("residual history: %s" % " ".join("%.3e" % r for r in exc.history))
+    if isinstance(exc, MaxIterationsExceeded) and exc.best is not None:
+        lines.append(
+            "best basis ranks: u=%d v=%d" % (exc.best.u.shape[1], exc.best.v.shape[1])
+        )
+    return lines
+
+
 def _canonical_lines(cfg):
     lines = [
         "kind = %s" % cfg.kind,
@@ -175,6 +192,8 @@ def main(argv=None):
             % (type(exc).__name__, exc, cfg.kind, cfg.integrator),
             file=sys.stderr,
         )
+        for line in _failure_details(exc):
+            print("  " + line, file=sys.stderr)
         return 1
     print("wrote %s outputs to %s" % (cfg.kind, out_dir))
     return 0

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingStage
+from .errors import DimensionMismatch
 from .krylov import adaptive_stage_solve
 from .lowrank import LowRankFactors
 
@@ -97,24 +97,6 @@ def assemble_stage_operator(d_op, dt, akk):
     if dt <= 0 or akk <= 0:
         raise DimensionMismatch("need dt > 0 and akk > 0")
     return d_op.scaled_shifted(0.5, -dt * akk)
-
-
-def stage_rhs(b1, increments, a_row):
-    """Projected stage rhs B~(k) = B~1 + sum_{l<k} a_kl * inc_l.
-
-    ``increments`` holds (S_l - B~_l)/a_ll for the completed stages; the
-    time step cancels out of the recursion.
-    """
-    k = len(a_row) - 1
-    if len(increments) < k:
-        raise MissingStage(
-            "stage %d rhs needs %d stored increments, have %d"
-            % (k, k, len(increments))
-        )
-    bk = np.array(b1, dtype=float, copy=True)
-    for l in range(k):
-        bk += a_row[l] * increments[l]
-    return bk
 
 
 @dataclass

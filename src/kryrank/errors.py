@@ -34,10 +34,6 @@ class MaxIterationsExceeded(KryrankError):
         self.history = list(history) if history is not None else []
 
 
-class MissingStage(KryrankError):
-    """A stage recursion referenced an increment that was never stored."""
-
-
 class NewtonDivergence(KryrankError):
     """Newton iteration failed to converge."""
 

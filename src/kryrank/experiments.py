@@ -111,6 +111,8 @@ def _heat_point(cfg, lam, table):
         "t_end": t_end,
         "error": l1_distance(f, ref, dx * dx),
         "factors": f,
+        "initial": f0,
+        "operators": (d1, d2),
         "reference": ref,
         "history": history,
     }
@@ -333,15 +335,12 @@ def run_compare(cfg, out_dir, threads=1):
     if cfg.kind != "heat-convergence":
         raise ConfigError("compare needs a heat-convergence config", "kind")
     table = get_table(cfg.integrator)
-    n = cfg.n[0]
+    _, dx = heat_grid(cfg.n[0])
 
     def point(lam):
         res = _heat_point(cfg, lam, table)
-        _, dx = heat_grid(n)
-        d1 = build_heat_operator(n, cfg.diffusion[0], dx)
-        d2 = build_heat_operator(n, cfg.diffusion[1], dx)
-        fd = heat_initial_condition(n).materialize()
-        d1m, d2m = d1.dense(), d2.dense()
+        fd = res["initial"].materialize()
+        d1m, d2m = (d.dense() for d in res["operators"])
         for _ in range(res["steps"]):
             fd = dense_dirk_step(fd, table, res["dt"], d1m, d2m)
         err_dense = float(np.abs(fd - res["reference"]).sum()) * dx * dx

@@ -71,8 +71,8 @@ def lomac_null_correction(f, n_exact, dx, dy, eps):
         f,
         np.ones((n1, 1)),
         np.ones((n2, 1)),
-        np.full((1, n1), float(dx)),
-        np.full((1, n2), float(dy)),
+        np.full((1, n1), dx),
+        np.full((1, n2), dy),
         np.ones((1, 1, 1)),
         [n_exact],
         eps,

@@ -179,15 +179,6 @@ class SolveDiagnostics:
     reject_stages: list = field(default_factory=list)
 
 
-def diagnostics_rows(diag, tols, step=0):
-    """Per-stage diagnostic tuples (step, stage, m, r_m, residual, tol)."""
-    rank = max(diag.rank_u, diag.rank_v)
-    return [
-        (step, k, diag.iterations, rank, res, tols[k])
-        for k, res in enumerate(diag.stage_residuals)
-    ]
-
-
 def _stage_side(cache, op, q):
     key = id(op)
     if key not in cache:

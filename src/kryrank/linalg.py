@@ -167,11 +167,6 @@ class TridiagonalOperator:
         return x[:, 0] if was_vec else x
 
 
-def tridiag_solve(op, b):
-    """Solve op @ x = b for a TridiagonalOperator op."""
-    return op.solve(b)
-
-
 def mgs_qr(m, drop_tol=None, ortho_prefix=0):
     """Modified Gram-Schmidt QR with column-deficiency handling.
 

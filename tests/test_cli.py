@@ -5,14 +5,18 @@ temporary directory, so exit codes, stdout/stderr, and the files on disk are
 all exercised exactly as a shell user would see them.
 """
 
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kryrank.cli import main
+import kryrank
+from kryrank.cli import _failure_details, main
+from kryrank.errors import NewtonDivergence
 
 FLOAT_12E = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 FOOTER = re.compile(r"^# schema_version=1,build=kryrank-\S+$")
@@ -184,6 +188,13 @@ class TestRunHeat:
         err = capsys.readouterr().err
         assert rc == 1
         assert "[kind=heat-convergence integrator=be]" in err
+        # the failure details the exception carries reach the user
+        assert re.search(r"residual history: \d\.\d{3}e[+-]\d+ ", err)
+        assert re.search(r"best basis ranks: u=\d+ v=\d+", err)
+
+    def test_newton_failure_prints_history(self):
+        exc = NewtonDivergence("stage Newton missed tolerance", [2.0, 0.25])
+        assert _failure_details(exc) == ["residual history: 2.000e+00 2.500e-01"]
 
 
 class TestRunLbfp:
@@ -268,10 +279,14 @@ class TestCompare:
 
 class TestConsoleScript:
     def test_installed_entry_point_validates(self, tmp_path):
+        # the child imports the same kryrank as this process, installed or not
+        src = str(Path(kryrank.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "kryrank.cli", "validate", heat_cfg(tmp_path)],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "self-check sylvester-residual: ok" in proc.stdout

@@ -8,17 +8,17 @@ and direct arithmetic on the order conditions.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kryrank.dirk import (
     assemble_stage_operator,
     builtin_tables,
     dirk_step,
     get_table,
-    stage_rhs,
 )
-from kryrank.errors import DimensionMismatch, MissingStage
+from kryrank.errors import DimensionMismatch
 from kryrank.heat import build_heat_operator
-from kryrank.krylov import solve_adaptive
+from kryrank.krylov import adaptive_stage_solve, solve_adaptive
 from kryrank.linalg import TridiagonalOperator
 from kryrank.lowrank import LowRankFactors
 
@@ -114,21 +114,44 @@ class TestStageOperator:
         assert np.abs(rows - 0.5).max() <= 1e-10
 
 
+def stage_ops(d, table, dt):
+    return [
+        (assemble_stage_operator(d, dt, akk),) * 2 for akk in np.diag(table.a)
+    ]
+
+
 class TestStageRhs:
+    """Stage rhs B~k = B~1 + sum_{l<k} a_kl (S_l - B~_l)/a_ll in the shared solve."""
+
     def test_first_stage_is_b1(self):
-        b1 = np.arange(4.0).reshape(2, 2)
-        out = stage_rhs(b1, [], np.array([0.7]))
-        assert np.array_equal(out, b1)
+        rng = np.random.default_rng(4)
+        n = 12
+        table = get_table("dirk2")
+        ops = stage_ops(build_heat_operator(n, 0.5, 1.0 / n), table, 0.01)
+        u = np.linalg.qr(rng.standard_normal((n, 2)))[0]
+        b = LowRankFactors(u, np.diag([1.0, 0.3]), u, orthonormal=True)
+        qu, cores, qv, _ = adaptive_stage_solve(ops, b, [1e-10] * 2, table.a)
+        # independent route: dense Galerkin projection and scipy's solver
+        a1 = qu.T @ ops[0][0].dense() @ qu
+        a2 = qv.T @ ops[0][1].dense() @ qv
+        want = scipy.linalg.solve_sylvester(a1, a2.T, qu.T @ b.materialize() @ qv)
+        assert np.abs(cores[0] - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_stationary_increments(self):
-        b1 = np.ones((3, 3))
-        zero = np.zeros((3, 3))
-        out = stage_rhs(b1, [zero, zero], np.array([0.3, 0.4, 0.2]))
-        assert np.array_equal(out, b1)
-
-    def test_missing_stage_rejected(self):
-        with pytest.raises(MissingStage):
-            stage_rhs(np.ones((2, 2)), [], np.array([0.3, 0.5]))
+        # zero generators make every stage operator I/2, so S_k = B~_k, the
+        # increments vanish and each stage rhs stays at B~1
+        n = 8
+        zero = TridiagonalOperator(np.zeros(n), np.zeros(n - 1), np.zeros(n - 1))
+        table = get_table("dirk3")
+        b = LowRankFactors(
+            np.eye(n)[:, :2], np.array([[1.0, 2.0], [0.5, 3.0]]), np.eye(n)[:, 1:3]
+        )
+        qu, cores, qv, _ = adaptive_stage_solve(
+            stage_ops(zero, table, 0.3), b, [1e-12] * 3, table.a
+        )
+        b1 = qu.T @ b.materialize() @ qv
+        for core in cores:
+            assert np.abs(core - b1).max() <= 1e-14
 
     @pytest.mark.parametrize("name", ["be", "dirk2", "dirk3"])
     def test_matches_scalar_dirk_oracle(self, name):

@@ -11,7 +11,6 @@ import pytest
 from kryrank.errors import BasisSaturated, MaxIterationsExceeded
 from kryrank.krylov import (
     assemble_galerkin,
-    diagnostics_rows,
     grow_basis,
     lte_tolerance,
     residual_norm,
@@ -262,17 +261,3 @@ class TestSolveAdaptive:
         assert len(hist) >= 2
         assert all(b_ <= a_ * (1.0 + 1e-12) for a_, b_ in zip(hist, hist[1:]))
         assert info.value.best is not None
-
-    def test_diagnostics_rows_schema(self):
-        rng = np.random.default_rng(35)
-        n = 20
-        a1 = random_dd_tridiag(rng, n)
-        a2 = random_dd_tridiag(rng, n)
-        b = random_rhs(rng, n, n, 1)
-        _f, diag = solve_adaptive(a1, a2, b, 1e-8)
-        rows = diagnostics_rows(diag, [1e-8], step=3)
-        assert len(rows) == 1
-        step, stage, m, r_m, res, tol = rows[0]
-        assert (step, stage) == (3, 0)
-        assert m == diag.iterations and r_m >= 1
-        assert res < tol

@@ -14,7 +14,6 @@ from kryrank.linalg import (
     mgs_qr,
     reduced_svd,
     solve_sylvester_dense,
-    tridiag_solve,
 )
 
 
@@ -55,11 +54,11 @@ class TestTridiagonalOperator:
     def test_identity_solve(self):
         op = TridiagonalOperator(np.ones(6), np.zeros(5), np.zeros(5))
         rhs = np.arange(12.0).reshape(6, 2)
-        assert np.array_equal(tridiag_solve(op, rhs), rhs)
+        assert np.array_equal(op.solve(rhs), rhs)
 
     def test_two_by_two_hand_case(self):
         op = TridiagonalOperator(np.array([2.0, 2.0]), np.array([1.0]), np.array([1.0]))
-        x = tridiag_solve(op, np.array([[3.0], [3.0]]))
+        x = op.solve(np.array([[3.0], [3.0]]))
         assert np.abs(x - 1.0).max() <= 1e-14
 
     def test_matches_dense_lu_oracle(self):
@@ -67,7 +66,7 @@ class TestTridiagonalOperator:
         op = random_dd_tridiag(rng, 64)
         rhs = rng.standard_normal((64, 4))
         want = dense_solve_oracle(op, rhs)
-        got = tridiag_solve(op, rhs)
+        got = op.solve(rhs)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_periodic_corners_match_dense_oracle(self):
@@ -76,7 +75,7 @@ class TestTridiagonalOperator:
             op = random_dd_tridiag(rng, 33, corners=True)
             rhs = rng.standard_normal((33, 2))
             want = dense_solve_oracle(op, rhs)
-            got = tridiag_solve(op, rhs)
+            got = op.solve(rhs)
             assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
     def test_solve_apply_roundtrip_randomized(self):
@@ -86,26 +85,26 @@ class TestTridiagonalOperator:
             n = int(rng.integers(3, 48))
             op = random_dd_tridiag(rng, n)
             x = rng.standard_normal((n, 1))
-            back = tridiag_solve(op, op.apply(x))
+            back = op.solve(op.apply(x))
             assert np.abs(back - x).max() <= 1e-12 * max(1.0, np.abs(x).max()), trial
 
     def test_solver_cache_reused_across_solves(self):
         rng = np.random.default_rng(8)
         op = random_dd_tridiag(rng, 32)
         r1 = rng.standard_normal((32, 2))
-        a = tridiag_solve(op, r1)
-        b = tridiag_solve(op, r1)
+        a = op.solve(r1)
+        b = op.solve(r1)
         assert np.array_equal(a, b)
 
     def test_singular_pivot_raises(self):
         op = TridiagonalOperator(np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0]))
         with pytest.raises(SingularOperator):
-            tridiag_solve(op, np.ones((2, 1)))
+            op.solve(np.ones((2, 1)))
 
     def test_dimension_mismatch(self):
         op = TridiagonalOperator(np.ones(4), np.zeros(3), np.zeros(3))
         with pytest.raises(DimensionMismatch):
-            tridiag_solve(op, np.ones((5, 1)))
+            op.solve(np.ones((5, 1)))
 
 
 class TestMgsQr:

@@ -12,6 +12,7 @@ from kryrank.errors import DimensionMismatch
 from kryrank.lbfp import maxwellian_factors, velocity_grid
 from kryrank.lowrank import (
     LowRankFactors,
+    conservative_truncate,
     core_truncate,
     joint_basis,
     lr_add,
@@ -260,3 +261,51 @@ class TestJointBasis:
         core = np.diag([1e-8, 1e-9])
         _out, _w1, kept, _w2 = core_truncate(core, 1.0)
         assert kept.size == 1
+
+
+class TestConservativeTruncate:
+    """Two random separable functionals, a mode set neither model uses."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(51)
+        n1, n2 = 40, 30
+        self.f = random_factors(rng, n1, n2, 6)
+        # a rank-6 state with a decaying spectrum, so truncation bites
+        self.f = LowRankFactors(
+            self.f.u, np.diag(0.5 ** np.arange(6)), self.f.v, orthonormal=True
+        )
+        self.range_u = rng.standard_normal((n1, 2))
+        self.range_v = rng.standard_normal((n2, 2))
+        self.rows_u = rng.standard_normal((2, n1))
+        self.rows_v = rng.standard_normal((2, n2))
+        self.modes = np.stack(
+            [np.outer(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(2)]
+        )
+        self.rng = rng
+
+    def dense_moments(self, mat):
+        m = self.rows_u @ mat @ self.rows_v.T
+        return np.array([np.sum(e * m) for e in self.modes])
+
+    def run(self, target, eps):
+        return conservative_truncate(
+            self.f, self.range_u, self.range_v, self.rows_u, self.rows_v,
+            self.modes, target, eps,
+        )
+
+    def test_pins_targets_with_orthonormal_factors(self):
+        base = self.dense_moments(self.f.materialize())
+        target = base * (1.0 + 0.1 * self.rng.standard_normal(2))
+        out = self.run(target, 0.05)
+        got = self.dense_moments(out.materialize())
+        assert np.abs(got - target).max() <= 1e-12 * np.abs(target).max()
+        assert np.abs(out.u.T @ out.u - np.eye(out.rank)).max() <= 1e-12
+        assert np.abs(out.v.T @ out.v - np.eye(out.rank)).max() <= 1e-12
+        assert out.rank <= self.f.rank + self.range_u.shape[1]
+        # the modes below eps went: the result is no longer the input
+        assert np.abs(out.materialize() - self.f.materialize()).max() > 1e-3
+
+    def test_no_truncation_and_exact_targets_reproduce_input(self):
+        mat = self.f.materialize()
+        out = self.run(self.dense_moments(mat), 0.0)
+        assert np.abs(out.materialize() - mat).max() <= 1e-12
