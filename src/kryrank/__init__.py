@@ -28,6 +28,7 @@ from .errors import (
     NewtonDivergence,
     NonPositiveDiffusion,
     SingularOperator,
+    SolveFailure,
     SpectralOverlap,
 )
 from .heat import (
@@ -75,6 +76,7 @@ from .linalg import (
     mgs_qr,
     reduced_svd,
     solve_sylvester_dense,
+    sylvester_schur,
 )
 from .lowrank import (
     LowRankFactors,

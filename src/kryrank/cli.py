@@ -17,7 +17,7 @@ from .errors import (
     ConfigError,
     KryrankError,
     MaxIterationsExceeded,
-    NewtonDivergence,
+    SolveFailure,
 )
 from .experiments import (
     run_compare,
@@ -114,9 +114,11 @@ def _self_check(seed):
 
 
 def _failure_details(exc):
-    """Residual history and best basis ranks a failed solve carries, as lines."""
+    """Location, residual history and best basis ranks a failed solve carries, as lines."""
     lines = []
-    if isinstance(exc, (MaxIterationsExceeded, NewtonDivergence)):
+    if isinstance(exc, SolveFailure):
+        if exc.where:
+            lines.append("at " + ", ".join("%s=%s" % kv for kv in exc.where.items()))
         lines.append("residual history: %s" % " ".join("%.3e" % r for r in exc.history))
     if isinstance(exc, MaxIterationsExceeded) and exc.best is not None:
         lines.append(

@@ -136,17 +136,12 @@ def dirk_step(f_n, table, dt, generators, tolerances, post_process=None, max_ite
         raise DimensionMismatch("need one generator pair per stage")
     if len(tolerances) != s:
         raise DimensionMismatch("need one tolerance per stage")
-    cache = {}
-    stage_ops = []
-    for k in range(s):
-        d1, d2 = gens[k]
-        key = (id(d1), id(d2), float(table.a[k, k]))
-        if key not in cache:
-            cache[key] = (
-                assemble_stage_operator(d1, dt, table.a[k, k]),
-                assemble_stage_operator(d2, dt, table.a[k, k]),
-            )
-        stage_ops.append(cache[key])
+    # scaled_shifted returns its last operator again for an equal (shift,
+    # scale), so stages and steps sharing a_kk share one factorized object
+    stage_ops = [
+        (assemble_stage_operator(d1, dt, akk), assemble_stage_operator(d2, dt, akk))
+        for akk, (d1, d2) in zip(np.diag(table.a), gens)
+    ]
     u, cores, v, diag = adaptive_stage_solve(
         stage_ops, f_n, list(tolerances), table.a, max_iter=max_iter
     )

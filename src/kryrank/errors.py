@@ -25,21 +25,29 @@ class BasisSaturated(KryrankError):
     """Subspace growth produced no new directions; the span is invariant."""
 
 
-class MaxIterationsExceeded(KryrankError):
-    """An adaptive loop hit its iteration cap before meeting tolerance."""
+class SolveFailure(KryrankError):
+    """An iterative solve inside a step missed its tolerance.
 
-    def __init__(self, message, best=None, history=None):
-        super().__init__(message)
-        self.best = best
-        self.history = list(history) if history is not None else []
-
-
-class NewtonDivergence(KryrankError):
-    """Newton iteration failed to converge."""
+    ``history`` holds the residual per iteration; the callers that know them
+    add the step, the step-end time ``t``, ``lambda`` or ``species`` to ``where``.
+    """
 
     def __init__(self, message, history=None):
         super().__init__(message)
         self.history = list(history) if history is not None else []
+        self.where = {}
+
+
+class MaxIterationsExceeded(SolveFailure):
+    """An adaptive loop hit its iteration cap before meeting tolerance."""
+
+    def __init__(self, message, best=None, history=None):
+        super().__init__(message, history)
+        self.best = best
+
+
+class NewtonDivergence(SolveFailure):
+    """Newton iteration failed to converge."""
 
 
 class NonPositiveDiffusion(KryrankError):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dirk import dirk_step, get_table
-from .errors import ConfigError
+from .errors import ConfigError, SolveFailure
 from .heat import (
     build_heat_operator,
     discrete_mass,
@@ -91,7 +91,11 @@ def _heat_point(cfg, lam, table):
     f = f0
     history = []
     for step in range(steps):
-        f, diag = dirk_step(f, table, dt, (d1, d2), tols, post_process=post)
+        try:
+            f, diag = dirk_step(f, table, dt, (d1, d2), tols, post_process=post)
+        except SolveFailure as exc:
+            exc.where = {"step": step, "t": (step + 1) * dt, "lambda": lam, **exc.where}
+            raise
         history.append(
             (
                 step,
@@ -230,10 +234,14 @@ def run_lbfp_relax(cfg, out_dir, threads=1):
     mom_rows = moment_rows(0.0, kin0, [0] * len(system.species))
     histories = {sp.name: [] for sp in system.species}
     for step in range(steps):
-        system, diags = lbfp_step(
-            system, table, dt, cfg.tolerance_constants, eps_rel=cfg.eps_rel
-        )
         t = (step + 1) * dt
+        try:
+            system, diags = lbfp_step(
+                system, table, dt, cfg.tolerance_constants, eps_rel=cfg.eps_rel
+            )
+        except SolveFailure as exc:
+            exc.where = {"step": step, "t": t, **exc.where}
+            raise
         kin = _kinetic_states(system)
         cons_rows.append(conservation_row(t, kin))
         mom_rows.extend(
@@ -341,8 +349,9 @@ def run_compare(cfg, out_dir, threads=1):
         res = _heat_point(cfg, lam, table)
         fd = res["initial"].materialize()
         d1m, d2m = (d.dense() for d in res["operators"])
+        stage_cache = {}  # d1m, d2m and dt are fixed: factor each a_kk once
         for _ in range(res["steps"]):
-            fd = dense_dirk_step(fd, table, res["dt"], d1m, d2m)
+            fd = dense_dirk_step(fd, table, res["dt"], d1m, d2m, stage_cache)
         err_dense = float(np.abs(fd - res["reference"]).sum()) * dx * dx
         return res["lambda"], res["dt"], res["error"], err_dense
 

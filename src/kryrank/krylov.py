@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BasisSaturated, DimensionMismatch, MaxIterationsExceeded
-from .linalg import mgs_qr, solve_sylvester_dense
+from .linalg import mgs_qr, solve_sylvester_dense, sylvester_schur
 from .lowrank import LowRankFactors
 
 # relative deflation threshold for new basis columns
@@ -179,10 +179,9 @@ class SolveDiagnostics:
     reject_stages: list = field(default_factory=list)
 
 
-def _stage_side(cache, op, q):
-    key = id(op)
+def _memo(cache, key, make, *args):
     if key not in cache:
-        cache[key] = _galerkin_side(op, q)
+        cache[key] = make(*args)
     return cache[key]
 
 
@@ -203,7 +202,9 @@ def adaptive_stage_solve(stage_ops, b, tols, coeff, max_iter=50):
 
     Returns (u, cores, v, diagnostics); one core per stage.  Any stage
     failing its tolerance rejects the whole sweep and triggers one growth
-    round before all stages are retried.
+    round before all stages are retried.  Within a round each distinct
+    operator pair is projected and Schur-factored once; stages sharing it
+    (a constant DIRK diagonal) only back-solve.
     """
     s = len(stage_ops)
     if len(tols) != s:
@@ -215,7 +216,7 @@ def adaptive_stage_solve(stage_ops, b, tols, coeff, max_iter=50):
     best = None
     saturated = False
     for m in range(max_iter + 1):
-        cache1, cache2 = {}, {}
+        cache1, cache2, schurs = {}, {}, {}
         b1 = _reduced_rhs(b, ub.q, vb.q)
         increments = []
         cores = []
@@ -223,12 +224,13 @@ def adaptive_stage_solve(stage_ops, b, tols, coeff, max_iter=50):
         ok = True
         for k in range(s):
             op1, op2 = stage_ops[k]
-            a1_red, r_u = _stage_side(cache1, op1, ub.q)
-            a2_red, r_v = _stage_side(cache2, op2, vb.q)
+            a1_red, r_u = _memo(cache1, id(op1), _galerkin_side, op1, ub.q)
+            a2_red, r_v = _memo(cache2, id(op2), _galerkin_side, op2, vb.q)
+            schur = _memo(schurs, (id(op1), id(op2)), sylvester_schur, a1_red, a2_red)
             bk = b1.copy()
             for l in range(k):
                 bk += coeff[k, l] * increments[l]
-            sk = solve_sylvester_dense(a1_red, a2_red, bk)
+            sk = solve_sylvester_dense(a1_red, a2_red, bk, schur)
             res = residual_norm(GalerkinSystem(a1_red, a2_red, bk, r_u, r_v), sk)
             stage_res.append(res)
             if k == 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NewtonDivergence, NonPositiveDiffusion
+from .errors import DimensionMismatch, NewtonDivergence, NonPositiveDiffusion, SolveFailure
 from .dirk import dirk_step
 from .krylov import lte_tolerance
 from .linalg import TridiagonalOperator
@@ -489,10 +489,14 @@ def lbfp_step(system, table, dt, tol_constants, eps_rel=1e-8, max_iter=50):
                 raw, _t, _m, _g, _g, _dv, eps_rel * spectral_scale(raw)
             )
 
-        f_next, d = dirk_step(
-            system.factors[a], table, dt, ops, tols,
-            post_process=post, max_iter=max_iter,
-        )
+        try:
+            f_next, d = dirk_step(
+                system.factors[a], table, dt, ops, tols,
+                post_process=post, max_iter=max_iter,
+            )
+        except SolveFailure as exc:
+            exc.where["species"] = sp.name
+            raise
         new_factors.append(f_next)
         diags.append(d)
     return (

@@ -3,7 +3,10 @@
 The tridiagonal solver is plain Thomas elimination without pivoting (the
 operators fed to it are diagonally dominant) plus a rank-2 bordered correction
 for periodic wrap entries.  Factorizations are built lazily and cached on the
-operator, which is treated as immutable after construction.
+operator, which is treated as immutable after construction; ``scaled_shifted``
+keeps its last result, so a stage operator rebuilt each step is factorized once.
+The dense Sylvester solve is Bartels-Stewart split into ``sylvester_schur`` (the
+O(n^3) Schur forms, shareable) and a per-right-hand-side back-solve.
 """
 
 import math
@@ -63,6 +66,7 @@ class TridiagonalOperator:
         if not (np.isfinite(self.corner_upper) and np.isfinite(self.corner_lower)):
             raise DimensionMismatch("corner entries must be finite")
         self._fact = None
+        self._shifted = None
 
     @property
     def n(self):
@@ -98,14 +102,16 @@ class TridiagonalOperator:
         return a
 
     def scaled_shifted(self, shift, scale):
-        """Return shift*I + scale*A as a new operator."""
-        return TridiagonalOperator(
-            shift + scale * self.diag,
-            scale * self.lower,
-            scale * self.upper,
-            corner_upper=scale * self.corner_upper,
-            corner_lower=scale * self.corner_lower,
-        )
+        """Return shift*I + scale*A; repeating the last (shift, scale) returns the same object."""
+        if self._shifted is None or self._shifted[0] != (shift, scale):
+            self._shifted = ((shift, scale), TridiagonalOperator(
+                shift + scale * self.diag,
+                scale * self.lower,
+                scale * self.upper,
+                corner_upper=scale * self.corner_upper,
+                corner_lower=scale * self.corner_lower,
+            ))
+        return self._shifted[1]
 
     def _factorize(self):
         # Thomas LU of the pure tridiagonal part; corners handled by a
@@ -239,10 +245,22 @@ def reduced_svd(s):
     return u, sig, vt.T
 
 
-def solve_sylvester_dense(a1, a2, b):
+def sylvester_schur(a1, a2):
+    """Real Schur forms (T1, Z1, T2, Z2) of A1 and A2, the factor half of a Sylvester solve."""
+    try:
+        t1, z1 = scipy.linalg.schur(a1, output="real")
+        t2, z2 = scipy.linalg.schur(a2, output="real")
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise SpectralOverlap("Sylvester solve failed: %s" % exc) from exc
+    return t1, z1, t2, z2
+
+
+def solve_sylvester_dense(a1, a2, b, schur=None):
     """Solve A1 X + X A2^T = B for dense square A1 (m x m), A2 (k x k), B (m x k).
 
-    Bartels-Stewart via Schur forms.  Raises SpectralOverlap when the spectra
+    ``schur`` is ``sylvester_schur(a1, a2)``, computed here when not given; the
+    back-solve repeats scipy's ``solve_sylvester(a1, a2.T, b)`` step for step,
+    so the result is bitwise the same.  Raises SpectralOverlap when the spectra
     of A1 and -A2^T (near-)intersect and the back-solve degrades.
     """
     a1 = np.asarray(a1, dtype=float)
@@ -256,10 +274,12 @@ def solve_sylvester_dense(a1, a2, b):
         raise DimensionMismatch(
             "B must be %d x %d, got %s" % (a1.shape[0], a2.shape[0], b.shape)
         )
-    try:
-        x = scipy.linalg.solve_sylvester(a1, a2.T, b)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise SpectralOverlap("Sylvester solve failed: %s" % exc) from exc
+    t1, z1, t2, z2 = sylvester_schur(a1, a2) if schur is None else schur
+    f = np.dot(np.dot(z1.T, b), z2)
+    y, y_scale, info = scipy.linalg.lapack.dtrsyl(t1, t2, f, tranb="C")
+    if info < 0:
+        raise SpectralOverlap("Sylvester solve failed: illegal value in term %d" % -info)
+    x = np.dot(np.dot(z1, y_scale * y), z2.T)
     if not np.all(np.isfinite(x)):
         raise SpectralOverlap("Sylvester solve produced non-finite entries")
     res = a1 @ x + x @ a2.T - b

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 
 from .lbfp import build_lbfp_operators, collision_coefficients, moment_step
-from .linalg import solve_sylvester_dense
+from .linalg import solve_sylvester_dense, sylvester_schur
 
 
 def propagator(d_op, t):
@@ -26,11 +26,15 @@ def heat_reference(f0, d1_op, d2_op, t):
     return propagator(d1_op, t) @ f0 @ propagator(d2_op, t).T
 
 
-def dense_dirk_step(f, table, dt, d1, d2):
-    """Full-rank DIRK step on a dense state, mirroring the low-rank stage recursion."""
-    n1, n2 = f.shape
-    i1 = np.eye(n1)
-    i2 = np.eye(n2)
+def dense_dirk_step(f, table, dt, d1, d2, cache=None):
+    """Full-rank DIRK step on a dense state, mirroring the low-rank stage recursion.
+
+    ``cache`` maps a_kk to the stage matrices I/2 - dt*a_kk*D and their Schur
+    forms, so stages with equal a_kk share one factorization.  A caller that
+    keeps d1, d2 and dt fixed may pass one dict to every step to factor each
+    stage operator once per run; by default it lives for this step only.
+    """
+    cache = {} if cache is None else cache
     incs = []
     fk = f
     for k in range(table.stages):
@@ -38,9 +42,12 @@ def dense_dirk_step(f, table, dt, d1, d2):
         b = f.copy()
         for l in range(k):
             b += table.a[k, l] * incs[l]
-        a1 = 0.5 * i1 - dt * akk * d1
-        a2 = 0.5 * i2 - dt * akk * d2
-        fk = solve_sylvester_dense(a1, a2, b)
+        if akk not in cache:
+            a1 = 0.5 * np.eye(f.shape[0]) - dt * akk * d1
+            a2 = 0.5 * np.eye(f.shape[1]) - dt * akk * d2
+            cache[akk] = (a1, a2, sylvester_schur(a1, a2))
+        a1, a2, schur = cache[akk]
+        fk = solve_sylvester_dense(a1, a2, b, schur)
         incs.append((fk - b) / akk)
     return fk
 

@@ -16,7 +16,9 @@ import pytest
 
 import kryrank
 from kryrank.cli import _failure_details, main
-from kryrank.errors import NewtonDivergence
+from kryrank.config import load_config
+from kryrank.errors import MaxIterationsExceeded, NewtonDivergence
+from kryrank.experiments import run_heat_convergence
 
 FLOAT_12E = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 FOOTER = re.compile(r"^# schema_version=1,build=kryrank-\S+$")
@@ -191,6 +193,18 @@ class TestRunHeat:
         # the failure details the exception carries reach the user
         assert re.search(r"residual history: \d\.\d{3}e[+-]\d+ ", err)
         assert re.search(r"best basis ranks: u=\d+ v=\d+", err)
+        # and say where it failed: the first step of the first lambda
+        assert re.search(r"\n  at step=0, t=\S+, lambda=50(\.0)?\n", err)
+
+    def test_failed_step_location_on_exception(self, tmp_path):
+        cfg = load_config(heat_cfg(tmp_path, integrator="be", extra="tolerances: 1e-25\n"))
+        with pytest.raises(MaxIterationsExceeded) as info:
+            run_heat_convergence(cfg, tmp_path / "out")
+        exc = info.value
+        assert list(exc.where) == ["step", "t", "lambda"]
+        assert exc.where["step"] == 0 and exc.where["lambda"] == 50
+        assert exc.where["t"] == pytest.approx(50 / 32**2)
+        assert exc.best is not None and len(exc.history) >= 2
 
     def test_newton_failure_prints_history(self):
         exc = NewtonDivergence("stage Newton missed tolerance", [2.0, 0.25])
@@ -204,6 +218,16 @@ class TestRunLbfp:
         assert "wrote lbfp-relax outputs to" in capsys.readouterr().out
         for name in ("conservation.csv", "moments.csv", "rank_history.csv"):
             assert (tmp_path / "out_l" / name).is_file()
+
+    def test_unreachable_tolerance_names_species(self, tmp_path, capsys):
+        text = Path(lbfp_cfg(tmp_path)).read_text()
+        cfg = write_cfg(tmp_path, text.replace("output:", "tolerances: 1e-25\noutput:"))
+        rc = main(["run", cfg])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "MaxIterationsExceeded" in err
+        assert re.search(r"\n  at step=0, t=0\.1, species=ion\n", err)
+        assert re.search(r"best basis ranks: u=\d+ v=\d+", err)
 
     def test_conservation_schema_and_invariants(self, tmp_path):
         main(["run", lbfp_cfg(tmp_path)])

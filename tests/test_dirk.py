@@ -16,8 +16,9 @@ from kryrank.dirk import (
     dirk_step,
     get_table,
 )
+from kryrank import krylov
 from kryrank.errors import DimensionMismatch
-from kryrank.heat import build_heat_operator
+from kryrank.heat import build_heat_operator, heat_initial_condition
 from kryrank.krylov import adaptive_stage_solve, solve_adaptive
 from kryrank.linalg import TridiagonalOperator
 from kryrank.lowrank import LowRankFactors
@@ -169,6 +170,41 @@ class TestStageRhs:
 
 
 class TestDirkStep:
+    def test_heat_run_factorizes_each_stage_operator_once(self, monkeypatch):
+        calls = []
+        factorize = TridiagonalOperator._factorize
+
+        def counted(op):
+            calls.append(op)
+            factorize(op)
+
+        monkeypatch.setattr(TridiagonalOperator, "_factorize", counted)
+        n = 32
+        d1 = build_heat_operator(n, 0.5, 1.0 / n)
+        d2 = build_heat_operator(n, 0.2, 1.0 / n)
+        f = heat_initial_condition(n)
+        table = get_table("dirk2")
+        for _ in range(5):
+            f, _diag = dirk_step(f, table, 0.01, (d1, d2), [1e-8, 1e-8])
+        assert len(calls) == 2
+        assert calls[0] is not calls[1]
+
+    def test_one_schur_per_operator_pair_per_round(self, monkeypatch):
+        calls = []
+        schur = krylov.sylvester_schur
+
+        def counted(a1, a2):
+            calls.append(a1.shape)
+            return schur(a1, a2)
+
+        monkeypatch.setattr(krylov, "sylvester_schur", counted)
+        n = 32
+        d = build_heat_operator(n, 0.5, 1.0 / n)
+        table = get_table("dirk3")
+        _f, diag = dirk_step(heat_initial_condition(n), table, 0.01, (d, d), [1e-8] * 3)
+        # a constant diagonal: all three stages back-solve from one factorization
+        assert len(calls) == diag.krylov_iterations + 1
+
     def test_single_stage_equals_adaptive_solve(self):
         rng = np.random.default_rng(1)
         n = 24

@@ -7,6 +7,7 @@ decomposition of S^T S); trivial identities are asserted directly.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kryrank.errors import DimensionMismatch, SingularOperator, SpectralOverlap
 from kryrank.linalg import (
@@ -14,6 +15,7 @@ from kryrank.linalg import (
     mgs_qr,
     reduced_svd,
     solve_sylvester_dense,
+    sylvester_schur,
 )
 
 
@@ -95,6 +97,20 @@ class TestTridiagonalOperator:
         a = op.solve(r1)
         b = op.solve(r1)
         assert np.array_equal(a, b)
+
+    def test_scaled_shifted_memo(self):
+        rng = np.random.default_rng(9)
+        op = random_dd_tridiag(rng, 12, corners=True)
+        before = op.dense()
+        first = op.scaled_shifted(0.5, -0.3)
+        assert op.scaled_shifted(0.5, -0.3) is first
+        assert np.array_equal(first.dense(), 0.5 * np.eye(12) - 0.3 * before)
+        other = op.scaled_shifted(0.5, -0.4)
+        assert other is not first
+        # one slot: the memo holds the last pair only
+        assert op.scaled_shifted(0.5, -0.3) is not first
+        assert np.array_equal(op.dense(), before)
+        assert op._fact is None
 
     def test_singular_pivot_raises(self):
         op = TridiagonalOperator(np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0]))
@@ -218,3 +234,24 @@ class TestSolveSylvesterDense:
         a2 = np.array([[-1.0]])
         with pytest.raises(SpectralOverlap):
             solve_sylvester_dense(a1, a2, np.array([[1.0]]))
+        with pytest.raises(SpectralOverlap):
+            solve_sylvester_dense(a1, a2, np.array([[1.0]]), sylvester_schur(a1, a2))
+
+    def test_precomputed_schur_is_bitwise_scipy(self):
+        rng = np.random.default_rng(43)
+        for m in (1, 2, 4, 8, 16):
+            for k in (1, 2, 4, 8, 16):
+                a1 = rng.standard_normal((m, m)) + 2.0 * m * np.eye(m)
+                a2 = rng.standard_normal((k, k)) + 2.0 * k * np.eye(k)
+                schur = sylvester_schur(a1, a2)
+                # one factorization serves several right-hand sides
+                for _ in range(2):
+                    b = rng.standard_normal((m, k))
+                    want = scipy.linalg.solve_sylvester(a1, a2.T, b)
+                    assert np.array_equal(solve_sylvester_dense(a1, a2, b, schur), want)
+                    assert np.array_equal(solve_sylvester_dense(a1, a2, b), want)
+
+    def test_non_finite_operator_is_spectral_overlap(self):
+        a1 = np.array([[np.nan]])
+        with pytest.raises(SpectralOverlap):
+            sylvester_schur(a1, np.eye(1))

@@ -130,6 +130,35 @@ class TestDenseDirkStep:
             want = kron_stage_recursion(f0, table, 0.01, d1, d2)
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
+    def test_shared_cache_is_bitwise_uncached_scipy_loop(self):
+        rng = np.random.default_rng(72)
+        n = 16
+        d1 = build_heat_operator(n, 0.5, 1.0 / n).dense()
+        d2 = build_heat_operator(n, 0.2, 1.0 / n).dense()
+        f0 = rng.standard_normal((n, n))
+        dt = 0.01
+        for name in ("be", "dirk2", "dirk3"):
+            table = get_table(name)
+            cache = {}
+            got = f0
+            want = f0
+            for _ in range(4):
+                got = dense_dirk_step(got, table, dt, d1, d2, cache)
+                # the stage recursion with every operator rebuilt and refactored
+                incs = []
+                b0 = want
+                for k in range(table.stages):
+                    akk = table.a[k, k]
+                    b = b0.copy()
+                    for l in range(k):
+                        b += table.a[k, l] * incs[l]
+                    a1 = 0.5 * np.eye(n) - dt * akk * d1
+                    a2 = 0.5 * np.eye(n) - dt * akk * d2
+                    want = scipy.linalg.solve_sylvester(a1, a2.T, b)
+                    incs.append((want - b) / akk)
+            assert np.array_equal(got, want), name
+            assert len(cache) == len(set(np.diag(table.a)))
+
     def test_backward_euler_mode_amplification(self):
         n = 32
         dcoef = 0.5
