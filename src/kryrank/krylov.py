@@ -51,9 +51,14 @@ def seed_basis(u0, orthonormal=False):
 def grow_basis(basis, op):
     """Extend the basis by one block of A-images and one of A^{-1}-images.
 
-    New columns are orthogonalized against the whole basis (two passes) and
-    deflated when their residual norm drops below 1e-10 of the incoming
-    column norm.  Raises BasisSaturated when nothing survives.
+    Block Gram-Schmidt with reorthogonalization (BCGS2): the candidate block
+    is projected out of the basis in one pass; inside the block each column
+    gets two projection passes against the columns accepted before it and is
+    deflated when its remainder drops below 1e-10 of its incoming norm (at
+    most n columns in total are kept).  The accepted block is projected out
+    of the basis a second time and re-orthonormalized by a Householder QR,
+    which keeps the basis orthonormal even for candidates that nearly lie in
+    its span.  Raises BasisSaturated when nothing survives.
     """
     n = basis.q.shape[0]
     if basis.rank >= n:
@@ -62,38 +67,40 @@ def grow_basis(basis, op):
     ni = basis.inv_block.shape[1]
     if nf == 0 and ni == 0:
         raise BasisSaturated("both staging blocks are exhausted")
-    blocks = []
-    kinds = []
-    if nf:
-        blocks.append(op.apply(basis.fwd_block))
-        kinds += ["f"] * nf
-    if ni:
-        blocks.append(op.solve(basis.inv_block))
-        kinds += ["i"] * ni
-    cand = np.hstack(blocks)
-    orig = np.linalg.norm(cand, axis=0)
     q = basis.q
-    accepted = []
-    accepted_kinds = []
-    for j in range(cand.shape[1]):
-        if basis.rank + len(accepted) >= n:
+    cand = np.empty((n, nf + ni), order="F")
+    if nf:
+        cand[:, :nf] = op.apply(basis.fwd_block)
+    if ni:
+        cand[:, nf:] = op.solve(basis.inv_block)
+    orig = np.linalg.norm(cand, axis=0)
+    cand -= q @ (q.T @ cand)
+    # accepted columns are compacted, in order, into cand[:, :kp]
+    kp = 0
+    n_fwd = 0
+    for j in range(nf + ni):
+        if basis.rank + kp >= n:
             break
-        v = cand[:, j].copy()
-        for _ in range(2):
-            v -= q @ (q.T @ v)
-            for w in accepted:
-                v -= w * (w @ v)
+        v = cand[:, j]
+        if kp:
+            w = cand[:, :kp]
+            for _ in range(2):
+                v -= w @ (w.T @ v)
         nrm = np.linalg.norm(v)
         if orig[j] > 0 and nrm > _GROW_DROP * orig[j]:
-            accepted.append(v / nrm)
-            accepted_kinds.append(kinds[j])
-    if not accepted:
+            cand[:, kp] = v / nrm
+            kp += 1
+            n_fwd += j < nf
+    if not kp:
         raise BasisSaturated("no candidate column survived deflation")
-    new = np.column_stack(accepted)
-    fwd = new[:, [i for i, k in enumerate(accepted_kinds) if k == "f"]]
-    inv = new[:, [i for i, k in enumerate(accepted_kinds) if k == "i"]]
+    block = cand[:, :kp]
+    block -= q @ (q.T @ block)
+    new, r = np.linalg.qr(block)
+    # Householder QR fixes each column only up to sign; keep the Gram-Schmidt one
+    new *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return ExtendedKrylovBasis(
-        np.hstack([q, new]), basis.m + 1, basis.seed_rank, fwd, inv
+        np.hstack([q, new]), basis.m + 1, basis.seed_rank,
+        new[:, :n_fwd], new[:, n_fwd:],
     )
 
 
@@ -117,6 +124,10 @@ def _galerkin_side(op, q):
     """
     aq = op.apply(q)
     a_red = q.T @ aq
+    if op.symmetric:
+        # exactly symmetric, so ``sylvester_schur`` may use eigh; a_red + c2
+        # below is still Q^T A Q to rounding, which is all R needs
+        a_red = (a_red + a_red.T) / 2
     p = aq - q @ a_red
     c2 = q.T @ p
     p -= q @ c2
@@ -203,8 +214,9 @@ def adaptive_stage_solve(stage_ops, b, tols, coeff, max_iter=50):
     Returns (u, cores, v, diagnostics); one core per stage.  Any stage
     failing its tolerance rejects the whole sweep and triggers one growth
     round before all stages are retried.  Within a round each distinct
-    operator pair is projected and Schur-factored once; stages sharing it
-    (a constant DIRK diagonal) only back-solve.
+    operator pair is projected and factored once (``eigh`` on a symmetric
+    side, a real Schur form otherwise); stages sharing it (a constant DIRK
+    diagonal) only back-solve.
     """
     s = len(stage_ops)
     if len(tols) != s:
@@ -226,7 +238,10 @@ def adaptive_stage_solve(stage_ops, b, tols, coeff, max_iter=50):
             op1, op2 = stage_ops[k]
             a1_red, r_u = _memo(cache1, id(op1), _galerkin_side, op1, ub.q)
             a2_red, r_v = _memo(cache2, id(op2), _galerkin_side, op2, vb.q)
-            schur = _memo(schurs, (id(op1), id(op2)), sylvester_schur, a1_red, a2_red)
+            schur = _memo(
+                schurs, (id(op1), id(op2)), sylvester_schur,
+                a1_red, a2_red, (op1.symmetric, op2.symmetric),
+            )
             bk = b1.copy()
             for l in range(k):
                 bk += coeff[k, l] * increments[l]

@@ -6,7 +6,9 @@ for periodic wrap entries.  Factorizations are built lazily and cached on the
 operator, which is treated as immutable after construction; ``scaled_shifted``
 keeps its last result, so a stage operator rebuilt each step is factorized once.
 The dense Sylvester solve is Bartels-Stewart split into ``sylvester_schur`` (the
-O(n^3) Schur forms, shareable) and a per-right-hand-side back-solve.
+O(n^3) Schur forms, shareable) and a per-right-hand-side back-solve; a side
+declared symmetric is diagonalized by ``eigh`` instead, and when both are the
+back-solve is one elementwise division.
 """
 
 import math
@@ -44,6 +46,9 @@ class TridiagonalOperator:
         Sub- and super-diagonal.
     corner_upper, corner_lower : float, optional
         Entries at positions (0, n-1) and (n-1, 0) for periodic wrap.
+
+    ``symmetric`` is fixed at construction: true when ``lower`` equals
+    ``upper`` and the two corners are equal, exactly.
     """
 
     def __init__(self, diag, lower, upper, corner_upper=0.0, corner_lower=0.0):
@@ -65,8 +70,16 @@ class TridiagonalOperator:
                 raise DimensionMismatch("operator entries must be finite")
         if not (np.isfinite(self.corner_upper) and np.isfinite(self.corner_lower)):
             raise DimensionMismatch("corner entries must be finite")
+        self._symmetric = bool(
+            np.array_equal(self.lower, self.upper)
+            and self.corner_upper == self.corner_lower
+        )
         self._fact = None
         self._shifted = None
+
+    @property
+    def symmetric(self):
+        return self._symmetric
 
     @property
     def n(self):
@@ -185,7 +198,8 @@ def mgs_qr(m, drop_tol=None, ortho_prefix=0):
 
     The first ``ortho_prefix`` columns are taken as already orthonormal and
     enter Q verbatim with identity rows in R; the remainder is projected
-    against them blockwise before the per-column sweep.
+    against them blockwise before the per-column sweep, whose two passes
+    then run against every kept column, the prefix included.
 
     Returns
     -------
@@ -219,12 +233,14 @@ def mgs_qr(m, drop_tol=None, ortho_prefix=0):
     kp = p
     for j in range(p, k):
         v = rest[:, j - p].copy() if rest is not None else m[:, j].copy()
-        if kp > p:
-            # two projection passes: plain MGS alone can lose orthogonality
+        if kp:
+            # two passes against every kept column, the prefix included: the
+            # block passes leave rounding-level prefix components that a
+            # nearly dependent remainder magnifies on normalization
             for _ in range(2):
-                c = q[:, p:kp].T @ v
-                v -= q[:, p:kp] @ c
-                r[p:kp, j] += c
+                c = q[:, :kp].T @ v
+                v -= q[:, :kp] @ c
+                r[:kp, j] += c
         nrm = math.sqrt(v @ v)
         if kp < n and nrm > drop_tol:
             q[:, kp] = v / nrm
@@ -245,23 +261,38 @@ def reduced_svd(s):
     return u, sig, vt.T
 
 
-def sylvester_schur(a1, a2):
-    """Real Schur forms (T1, Z1, T2, Z2) of A1 and A2, the factor half of a Sylvester solve."""
+def sylvester_schur(a1, a2, symmetric=(False, False)):
+    """Factor half of a Sylvester solve: (T1, Z1, T2, Z2) with A = Z T Z^T.
+
+    A side flagged in ``symmetric`` is diagonalized by ``eigh``, and its T is
+    the 1-D array of eigenvalues; any other side gets its real Schur form.
+    """
+    factors = []
     try:
-        t1, z1 = scipy.linalg.schur(a1, output="real")
-        t2, z2 = scipy.linalg.schur(a2, output="real")
+        for a, sym in zip((a1, a2), symmetric):
+            if sym:
+                w, z = np.linalg.eigh(a)
+                if not np.all(np.isfinite(w)):
+                    raise ValueError("non-finite eigenvalues")
+                factors += [w, z]
+            else:
+                factors += scipy.linalg.schur(a, output="real")
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise SpectralOverlap("Sylvester solve failed: %s" % exc) from exc
-    return t1, z1, t2, z2
+    return tuple(factors)
 
 
 def solve_sylvester_dense(a1, a2, b, schur=None):
     """Solve A1 X + X A2^T = B for dense square A1 (m x m), A2 (k x k), B (m x k).
 
-    ``schur`` is ``sylvester_schur(a1, a2)``, computed here when not given; the
-    back-solve repeats scipy's ``solve_sylvester(a1, a2.T, b)`` step for step,
-    so the result is bitwise the same.  Raises SpectralOverlap when the spectra
-    of A1 and -A2^T (near-)intersect and the back-solve degrades.
+    ``schur`` is ``sylvester_schur(a1, a2, ...)``, computed here (both sides
+    Schur) when not given; the back-solve then repeats scipy's
+    ``solve_sylvester(a1, a2.T, b)`` step for step, so the result is bitwise
+    the same.  With two eigen-factors the back-solve is
+    ``F / (w1[:, None] + w2[None, :])``, bitwise what ``dtrsyl`` gives on the
+    diagonal forms; a mixed pair hands ``diag(w)`` to ``dtrsyl``.  Raises
+    SpectralOverlap when the spectra of A1 and -A2^T (near-)intersect and the
+    back-solve degrades.
     """
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
@@ -276,10 +307,18 @@ def solve_sylvester_dense(a1, a2, b, schur=None):
         )
     t1, z1, t2, z2 = sylvester_schur(a1, a2) if schur is None else schur
     f = np.dot(np.dot(z1.T, b), z2)
-    y, y_scale, info = scipy.linalg.lapack.dtrsyl(t1, t2, f, tranb="C")
-    if info < 0:
-        raise SpectralOverlap("Sylvester solve failed: illegal value in term %d" % -info)
-    x = np.dot(np.dot(z1, y_scale * y), z2.T)
+    if t1.ndim == 1 and t2.ndim == 1:
+        # a zero denominator becomes inf/nan here and fails the finite check
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            y = f / (t1[:, None] + t2[None, :])
+    else:
+        t1 = np.diag(t1) if t1.ndim == 1 else t1
+        t2 = np.diag(t2) if t2.ndim == 1 else t2
+        y, y_scale, info = scipy.linalg.lapack.dtrsyl(t1, t2, f, tranb="C")
+        if info < 0:
+            raise SpectralOverlap("Sylvester solve failed: illegal value in term %d" % -info)
+        y = y_scale * y
+    x = np.dot(np.dot(z1, y), z2.T)
     if not np.all(np.isfinite(x)):
         raise SpectralOverlap("Sylvester solve produced non-finite entries")
     res = a1 @ x + x @ a2.T - b

@@ -193,9 +193,9 @@ class TestDirkStep:
         calls = []
         schur = krylov.sylvester_schur
 
-        def counted(a1, a2):
+        def counted(a1, a2, symmetric=(False, False)):
             calls.append(a1.shape)
-            return schur(a1, a2)
+            return schur(a1, a2, symmetric)
 
         monkeypatch.setattr(krylov, "sylvester_schur", counted)
         n = 32

@@ -5,11 +5,15 @@ Oracles: materialized dense residuals, dense triple products, Kronecker-sum
 solves, and projector norms on explicit bases.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from kryrank.errors import BasisSaturated, MaxIterationsExceeded
+from kryrank import krylov
+from kryrank.errors import BasisSaturated, MaxIterationsExceeded, SpectralOverlap
 from kryrank.krylov import (
+    ExtendedKrylovBasis,
     assemble_galerkin,
     grow_basis,
     lte_tolerance,
@@ -44,6 +48,21 @@ def random_rhs(rng, n1, n2, r):
 
 def identity_op(n):
     return TridiagonalOperator(np.ones(n), np.zeros(n - 1), np.zeros(n - 1))
+
+
+def diagonal_op(d):
+    return TridiagonalOperator(d, np.zeros(d.size - 1), np.zeros(d.size - 1))
+
+
+def staged_basis(q, fwd_targets, inv_targets, d):
+    """Basis whose next candidates under diag(d) are the targets, to rounding."""
+    return ExtendedKrylovBasis(
+        q, 1, q.shape[1], fwd_targets / d[:, None], inv_targets * d[:, None]
+    )
+
+
+def orthonormality_loss(q):
+    return np.abs(q.T @ q - np.eye(q.shape[1])).max()
 
 
 class TestLteTolerance:
@@ -103,6 +122,59 @@ class TestBasisGrowth:
             inside = basis.q - grown.q @ (grown.q.T @ basis.q)
             assert np.linalg.norm(inside) <= 1e-10
             basis = grown
+
+    def test_candidates_near_span_stay_orthonormal(self):
+        # every candidate lies in span(Q) to 1e-9 relative: one projection
+        # pass leaves components along Q that the 1e-9 remainder magnifies
+        # to ~1e-7 after normalization; the second block pass removes them
+        rng = np.random.default_rng(7)
+        n = 60
+        q = np.linalg.qr(rng.standard_normal((n, 6)))[0]
+        d = rng.uniform(1.0, 2.0, n)
+
+        def near_span(k):
+            inside = q @ rng.standard_normal((6, k))
+            e = rng.standard_normal((n, k))
+            return inside + 1e-9 * np.linalg.norm(inside, axis=0) * e / np.linalg.norm(e, axis=0)
+
+        grown = grow_basis(staged_basis(q, near_span(2), near_span(3), d), diagonal_op(d))
+        assert grown.rank == 11
+        assert (grown.fwd_block.shape[1], grown.inv_block.shape[1]) == (2, 3)
+        assert np.array_equal(grown.q[:, :6], q)
+        assert orthonormality_loss(grown.q) <= 1e-13
+
+    def test_duplicate_and_zero_candidates_deflated(self):
+        rng = np.random.default_rng(8)
+        n = 40
+        q = np.linalg.qr(rng.standard_normal((n, 3)))[0]
+        d = rng.uniform(1.0, 2.0, n)
+        x, y = rng.standard_normal((n, 1)), rng.standard_normal((n, 1))
+        fwd = np.hstack([x, x, np.zeros((n, 1))])
+        inv = np.hstack([2.0 * x, y])
+        grown = grow_basis(staged_basis(q, fwd, inv, d), diagonal_op(d))
+        # x once from the forward block, y alone from the inverse block
+        assert (grown.fwd_block.shape[1], grown.inv_block.shape[1]) == (1, 1)
+        assert grown.rank == 5
+        assert orthonormality_loss(grown.q) <= 1e-13
+        for target in (x, y):
+            resid = target - grown.q @ (grown.q.T @ target)
+            assert np.linalg.norm(resid) <= 1e-13 * np.linalg.norm(target)
+        x_perp = x - q @ (q.T @ x)
+        assert abs(abs(grown.fwd_block[:, 0] @ x_perp[:, 0]) - np.linalg.norm(x_perp)) <= 1e-12
+
+    def test_growth_capped_at_row_count(self):
+        rng = np.random.default_rng(9)
+        n = 8
+        q = np.linalg.qr(rng.standard_normal((n, 6)))[0]
+        d = rng.uniform(1.0, 2.0, n)
+        cand = rng.standard_normal((n, 2))
+        grown = grow_basis(staged_basis(q, cand, cand[:, ::-1], d), diagonal_op(d))
+        # the two forward candidates fill the space; no inverse column fits
+        assert grown.rank == n
+        assert (grown.fwd_block.shape[1], grown.inv_block.shape[1]) == (2, 0)
+        assert orthonormality_loss(grown.q) <= 1e-13
+        with pytest.raises(BasisSaturated):
+            grow_basis(grown, diagonal_op(d))
 
 
 class TestGalerkinAssembly:
@@ -248,6 +320,40 @@ class TestSolveAdaptive:
         want = solve_sylvester_dense(a1.dense(), a2.dense(), b.materialize())
         err = np.linalg.norm(f.materialize() - want)
         assert err <= 1e-9 * np.linalg.norm(want)
+
+    def test_symmetric_operators_factored_by_eigh(self, monkeypatch):
+        from kryrank.dirk import assemble_stage_operator
+        from kryrank.heat import build_heat_operator, heat_initial_condition
+
+        flags = []
+        factor = krylov.sylvester_schur
+
+        def counted(a1, a2, symmetric=(False, False)):
+            flags.append(symmetric)
+            return factor(a1, a2, symmetric)
+
+        monkeypatch.setattr(krylov, "sylvester_schur", counted)
+        n = 64
+        a_op = assemble_stage_operator(build_heat_operator(n, 0.5, 1.0 / n), 0.01, 1.0)
+        _f, diag = solve_adaptive(a_op, a_op, heat_initial_condition(n), 1e-8)
+        assert diag.residual < 1e-8
+        assert flags and set(flags) == {(True, True)}
+        rng = np.random.default_rng(35)
+        a1 = random_dd_tridiag(rng, n)
+        flags.clear()
+        solve_adaptive(a1, a_op, random_rhs(rng, n, n, 2), 1e-8)
+        assert flags and set(flags) == {(False, True)}
+
+    def test_symmetric_spectral_overlap_is_typed(self):
+        n = 12
+        rng = np.random.default_rng(36)
+        plus = identity_op(n)
+        minus = TridiagonalOperator(-np.ones(n), np.zeros(n - 1), np.zeros(n - 1))
+        assert plus.symmetric and minus.symmetric
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectralOverlap):
+                solve_adaptive(plus, minus, random_rhs(rng, n, n, 2), 1e-8)
 
     def test_unreachable_tolerance_reports_history(self):
         rng = np.random.default_rng(34)

@@ -5,11 +5,16 @@ dense numpy factorizations (LU solve, Kronecker-sum vectorization, eigen
 decomposition of S^T S); trivial identities are asserted directly.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from kryrank.dirk import assemble_stage_operator
 from kryrank.errors import DimensionMismatch, SingularOperator, SpectralOverlap
+from kryrank.heat import build_heat_operator
+from kryrank.lbfp import PairCoefficients, build_lbfp_operators, velocity_grid
 from kryrank.linalg import (
     TridiagonalOperator,
     mgs_qr,
@@ -112,6 +117,22 @@ class TestTridiagonalOperator:
         assert np.array_equal(op.dense(), before)
         assert op._fact is None
 
+    def test_symmetric_flag(self):
+        heat = build_heat_operator(16, 0.5, 1.0 / 16)
+        assert heat.symmetric
+        assert heat.scaled_shifted(0.5, -0.01).symmetric
+        assert assemble_stage_operator(heat, 0.01, 0.3).symmetric
+        grid, dv = velocity_grid(32, 5.0)
+        pair = PairCoefficients(nu=0.8, u1=0.2, u2=-0.1, diffusion=1.5)
+        for op in build_lbfp_operators(grid, dv, [pair]):
+            assert not op.symmetric
+            assert not op.scaled_shifted(0.5, -0.1).symmetric
+        ones = np.ones(3)
+        assert not TridiagonalOperator(ones, ones[:2], ones[:2], 1.0, 2.0).symmetric
+        assert TridiagonalOperator(ones, ones[:2], ones[:2], 2.0, 2.0).symmetric
+        with pytest.raises(AttributeError):
+            heat.symmetric = False
+
     def test_singular_pivot_raises(self):
         op = TridiagonalOperator(np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0]))
         with pytest.raises(SingularOperator):
@@ -169,6 +190,26 @@ class TestMgsQr:
         k = q.shape[1]
         assert np.abs(q.T @ q - np.eye(k)).max() <= 1e-12
         assert np.linalg.norm(q @ r - m) <= 1e-12 * np.linalg.norm(m)
+
+    def test_columns_near_prefix_span_stay_orthogonal(self):
+        # one column in span(prefix) and one in span(prefix, previous column),
+        # each to 1e-9 relative: the second is where per-column passes that
+        # skip the prefix amplify its rounding-level components to ~1e-8
+        rng = np.random.default_rng(27)
+        n = 80
+        q0 = np.linalg.qr(rng.standard_normal((n, 4)))[0]
+        a = rng.standard_normal((n, 2))
+        cols = [q0, a]
+        in_prefix = q0 @ rng.standard_normal(4)
+        for near in (in_prefix, in_prefix + a @ rng.standard_normal(2)):
+            e = rng.standard_normal(n)
+            cols.append((near + 1e-9 * np.linalg.norm(near) * e / np.linalg.norm(e))[:, None])
+        m = np.hstack(cols)
+        q, r = mgs_qr(m, ortho_prefix=4)
+        assert q.shape == (n, 8)
+        assert np.abs(q0.T @ q[:, 4:]).max() <= 1e-13
+        assert np.abs(q.T @ q - np.eye(8)).max() <= 1e-13
+        assert np.linalg.norm(q @ r - m) <= 1e-13 * np.linalg.norm(m)
 
     def test_wide_input_keeps_at_most_row_count(self):
         rng = np.random.default_rng(26)
@@ -255,3 +296,61 @@ class TestSolveSylvesterDense:
         a1 = np.array([[np.nan]])
         with pytest.raises(SpectralOverlap):
             sylvester_schur(a1, np.eye(1))
+
+    def test_eigen_factors_match_scipy_on_spd_pairs(self):
+        rng = np.random.default_rng(44)
+        for m in (1, 2, 5, 16, 33, 64):
+            for k in (1, 3, 8, 40, 64):
+                g1 = rng.standard_normal((m, m))
+                g2 = rng.standard_normal((k, k))
+                a1 = g1 @ g1.T + 0.1 * np.eye(m)
+                a2 = g2 @ g2.T + 0.1 * np.eye(k)
+                fac = sylvester_schur(a1, a2, symmetric=(True, True))
+                assert fac[0].shape == (m,) and fac[2].shape == (k,)
+                b = rng.standard_normal((m, k))
+                want = scipy.linalg.solve_sylvester(a1, a2.T, b)
+                got = solve_sylvester_dense(a1, a2, b, fac)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (m, k)
+
+    def test_eigen_division_is_bitwise_dtrsyl(self):
+        rng = np.random.default_rng(45)
+        for m, k in ((5, 7), (64, 40), (140, 140)):
+            w1 = rng.uniform(0.1, 3.0, m)
+            w2 = rng.uniform(0.1, 3.0, k)
+            f = rng.standard_normal((m, k))
+            y, scale, info = scipy.linalg.lapack.dtrsyl(np.diag(w1), np.diag(w2), f, tranb="C")
+            assert info == 0 and scale == 1.0
+            # identity eigenvectors: the back-solve is the division alone
+            fac = (w1, np.eye(m), w2, np.eye(k))
+            got = solve_sylvester_dense(np.diag(w1), np.diag(w2), f, fac)
+            assert np.array_equal(got, y), (m, k)
+            assert np.array_equal(f / (w1[:, None] + w2[None, :]), y), (m, k)
+
+    def test_mixed_symmetric_pair(self):
+        rng = np.random.default_rng(46)
+        g = rng.standard_normal((9, 9))
+        spd = g @ g.T + np.eye(9)
+        general = rng.standard_normal((6, 6)) + 12.0 * np.eye(6)
+        for a1, a2, sym in ((spd, general, (True, False)), (general, spd, (False, True))):
+            b = rng.standard_normal((a1.shape[0], a2.shape[0]))
+            fac = sylvester_schur(a1, a2, symmetric=sym)
+            assert [fac[0].ndim, fac[2].ndim] == [1 if s else 2 for s in sym]
+            want = kron_sylvester_oracle(a1, a2, b)
+            got = solve_sylvester_dense(a1, a2, b, fac)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_non_finite_symmetric_operator_is_spectral_overlap(self):
+        with pytest.raises(SpectralOverlap):
+            sylvester_schur(np.array([[np.nan]]), np.eye(1), symmetric=(True, True))
+
+    def test_symmetric_spectral_overlap_raises_without_warning(self):
+        a1 = np.array([[1.0]])
+        a2 = np.array([[-1.0]])
+        b = np.array([[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sym in ((True, True), (True, False), (False, True)):
+                with pytest.raises(SpectralOverlap):
+                    solve_sylvester_dense(a1, a2, b, sylvester_schur(a1, a2, symmetric=sym))
+            with pytest.raises(SpectralOverlap):
+                solve_sylvester_dense(a1, a2, b)
