@@ -5,7 +5,7 @@ Grammar (all keys lowercase; unknown top-level keys rejected):
     kind: heat-convergence | lbfp-relax | complexity-sweep   (required)
     integrator: be | dirk2 | dirk3                           (required)
     grid:
-      n: int or [int, ...]                                   (required)
+      n: int or [int, ...]     # >= 3, lbfp kinds >= 8       (required)
     time:
       t_final: float                                         (required)
       lambda: [float, ...]     # dt = lambda * dx^2; heat-convergence only
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import yaml
 
 from .errors import ConfigError
-from .lbfp import SpeciesConfig, benchmark_species
+from .lbfp import MIN_VELOCITY_CELLS, SpeciesConfig, benchmark_species
 
 KINDS = ("heat-convergence", "lbfp-relax", "complexity-sweep")
 INTEGRATORS = ("be", "dirk2", "dirk3")
@@ -170,7 +170,8 @@ def validate_config(doc):
     grid = _section(doc, "grid")
     if "n" not in grid:
         raise ConfigError("missing required key", "grid.n")
-    ns = tuple(_as_int(v, "grid.n", minimum=3) for v in _as_list(grid["n"]))
+    n_min = 3 if kind == "heat-convergence" else MIN_VELOCITY_CELLS
+    ns = tuple(_as_int(v, "grid.n", minimum=n_min) for v in _as_list(grid["n"]))
     if not ns:
         raise ConfigError("needs at least one grid size", "grid.n")
     if kind != "complexity-sweep" and len(ns) != 1:

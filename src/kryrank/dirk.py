@@ -120,7 +120,7 @@ def dirk_step(f_n, table, dt, generators, tolerances, post_process=None, max_ite
     ----------
     f_n : LowRankFactors
         Current state with orthonormal factors.
-    generators : (d1, d2) pair or list of one pair per stage
+    generators : (d1, d2) pair
         Operators defining the right-hand side D1 F + F D2^T.
     tolerances : sequence of float
         Per-stage Krylov residual tolerances.
@@ -130,17 +130,14 @@ def dirk_step(f_n, table, dt, generators, tolerances, post_process=None, max_ite
 
     Returns (f_next, StepDiagnostics).
     """
-    s = table.stages
-    gens = list(generators) if isinstance(generators, list) else [generators] * s
-    if len(gens) != s:
-        raise DimensionMismatch("need one generator pair per stage")
-    if len(tolerances) != s:
+    if len(tolerances) != table.stages:
         raise DimensionMismatch("need one tolerance per stage")
     # scaled_shifted returns its last operator again for an equal (shift,
     # scale), so stages and steps sharing a_kk share one factorized object
+    d1, d2 = generators
     stage_ops = [
         (assemble_stage_operator(d1, dt, akk), assemble_stage_operator(d2, dt, akk))
-        for akk, (d1, d2) in zip(np.diag(table.a), gens)
+        for akk in np.diag(table.a)
     ]
     u, cores, v, diag = adaptive_stage_solve(
         stage_ops, f_n, list(tolerances), table.a, max_iter=max_iter

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BasisSaturated, DimensionMismatch, MaxIterationsExceeded
-from .linalg import mgs_qr, solve_sylvester_dense, sylvester_schur
+from .linalg import _bcgs2, mgs_qr, solve_sylvester_dense, sylvester_schur
 from .lowrank import LowRankFactors
 
 # relative deflation threshold for new basis columns
@@ -51,14 +51,10 @@ def seed_basis(u0, orthonormal=False):
 def grow_basis(basis, op):
     """Extend the basis by one block of A-images and one of A^{-1}-images.
 
-    Block Gram-Schmidt with reorthogonalization (BCGS2): the candidate block
-    is projected out of the basis in one pass; inside the block each column
-    gets two projection passes against the columns accepted before it and is
-    deflated when its remainder drops below 1e-10 of its incoming norm (at
-    most n columns in total are kept).  The accepted block is projected out
-    of the basis a second time and re-orthonormalized by a Householder QR,
-    which keeps the basis orthonormal even for candidates that nearly lie in
-    its span.  Raises BasisSaturated when nothing survives.
+    The candidates are orthonormalized against the basis by ``_bcgs2``; a
+    candidate is deflated when its remainder drops below 1e-10 of its
+    incoming norm, and at most n columns in total are kept.  Raises
+    BasisSaturated when nothing survives.
     """
     n = basis.q.shape[0]
     if basis.rank >= n:
@@ -67,39 +63,18 @@ def grow_basis(basis, op):
     ni = basis.inv_block.shape[1]
     if nf == 0 and ni == 0:
         raise BasisSaturated("both staging blocks are exhausted")
-    q = basis.q
     cand = np.empty((n, nf + ni), order="F")
     if nf:
         cand[:, :nf] = op.apply(basis.fwd_block)
     if ni:
         cand[:, nf:] = op.solve(basis.inv_block)
-    orig = np.linalg.norm(cand, axis=0)
-    cand -= q @ (q.T @ cand)
-    # accepted columns are compacted, in order, into cand[:, :kp]
-    kp = 0
-    n_fwd = 0
-    for j in range(nf + ni):
-        if basis.rank + kp >= n:
-            break
-        v = cand[:, j]
-        if kp:
-            w = cand[:, :kp]
-            for _ in range(2):
-                v -= w @ (w.T @ v)
-        nrm = np.linalg.norm(v)
-        if orig[j] > 0 and nrm > _GROW_DROP * orig[j]:
-            cand[:, kp] = v / nrm
-            kp += 1
-            n_fwd += j < nf
-    if not kp:
+    drop = _GROW_DROP * np.linalg.norm(cand, axis=0)
+    new, accepted = _bcgs2(basis.q, cand, drop, n - basis.rank)
+    if not accepted:
         raise BasisSaturated("no candidate column survived deflation")
-    block = cand[:, :kp]
-    block -= q @ (q.T @ block)
-    new, r = np.linalg.qr(block)
-    # Householder QR fixes each column only up to sign; keep the Gram-Schmidt one
-    new *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    n_fwd = sum(j < nf for j in accepted)
     return ExtendedKrylovBasis(
-        np.hstack([q, new]), basis.m + 1, basis.seed_rank,
+        np.hstack([basis.q, new]), basis.m + 1, basis.seed_rank,
         new[:, :n_fwd], new[:, n_fwd:],
     )
 

@@ -33,6 +33,7 @@ from .lowrank import (
 from .lowrank import core_truncate, joint_basis  # noqa: F401
 
 _NU_PREFACTOR = 2.0**2.5
+MIN_VELOCITY_CELLS = 8
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,10 @@ def benchmark_species():
 
 def velocity_grid(n, vmax):
     """n cell centers on (-vmax, vmax), symmetric about 0, and the cell width."""
-    if n < 8:
-        raise DimensionMismatch("velocity grid needs at least 8 cells, got %d" % n)
+    if n < MIN_VELOCITY_CELLS:
+        raise DimensionMismatch(
+            "velocity grid needs at least %d cells, got %d" % (MIN_VELOCITY_CELLS, n)
+        )
     dv = 2.0 * vmax / n
     return -vmax + (np.arange(n) + 0.5) * dv, dv
 

@@ -1,4 +1,4 @@
-"""Dense and banded kernels: tridiagonal solves, rank-revealing QR, SVD, Sylvester.
+"""Dense and banded kernels: tridiagonal solves, block Gram-Schmidt QR, SVD, Sylvester.
 
 The tridiagonal solver is plain Thomas elimination without pivoting (the
 operators fed to it are diagonally dominant) plus a rank-2 bordered correction
@@ -186,20 +186,57 @@ class TridiagonalOperator:
         return x[:, 0] if was_vec else x
 
 
-def mgs_qr(m, drop_tol=None, ortho_prefix=0):
-    """Modified Gram-Schmidt QR with column-deficiency handling.
+def _bcgs2(q, cand, drop, cap):
+    """Orthonormalize the columns of ``cand`` against orthonormal ``q`` and each other.
 
-    Columns whose post-orthogonalization norm falls below
-    ``drop_tol`` (default 1e-12 * ||M||_F) are dropped from Q; R keeps their
-    projection coefficients so Q @ R reproduces M up to the dropped residuals.
-    One full re-orthogonalization pass keeps Q^T Q orthonormal near machine
-    precision on ill-conditioned input.  A stack wider than its row count is
-    handled the same way: at most n columns survive, the overflow lives in R.
+    Reorthogonalized block Gram-Schmidt (BCGS2; Barlow & Smoktunowicz, Numer.
+    Math. 123 (2013)): the block is projected out of ``q`` in one pass;
+    inside it each column gets two passes against the columns accepted
+    before it and is accepted when its remainder exceeds ``drop`` (a scalar
+    or one value per column), until ``cap`` columns are accepted.  The
+    accepted block is projected out of ``q`` a second time and
+    re-orthonormalized by a Cholesky QR, which keeps [q, new] orthonormal
+    even for candidates that nearly lie in span(q); without a prefix the
+    in-block passes alone leave it orthonormal.
 
-    The first ``ortho_prefix`` columns are taken as already orthonormal and
-    enter Q verbatim with identity rows in R; the remainder is projected
-    against them blockwise before the per-column sweep, whose two passes
-    then run against every kept column, the prefix included.
+    ``cand`` is overwritten: accepted columns are compacted, in order, to its
+    front.  Returns (new, accepted) with ``new`` a view of ``cand`` and
+    ``accepted`` the indices of the accepted candidates.
+    """
+    drop = np.broadcast_to(drop, cand.shape[1:])
+    if q.shape[1]:
+        cand -= q @ (q.T @ cand)
+    accepted = []
+    for j in range(cand.shape[1]):
+        kp = len(accepted)
+        if kp >= cap:
+            break
+        v = cand[:, j]
+        if kp:
+            w = cand[:, :kp]
+            for _ in range(2):
+                v -= w @ (w.T @ v)
+        nrm = math.sqrt(v @ v)
+        if nrm > drop[j]:
+            cand[:, kp] = v / nrm
+            accepted.append(j)
+    new = cand[:, : len(accepted)]
+    if q.shape[1] and accepted:
+        new -= q @ (q.T @ new)
+        # Cholesky QR of a block orthonormal to rounding: the triangular
+        # factor is near I, so its inverse is well conditioned and keeps signs
+        new[:] = new @ np.linalg.inv(np.linalg.cholesky(new.T @ new)).T
+    return new, accepted
+
+
+def mgs_qr(m, ortho_prefix=0):
+    """Rank-revealing QR by block Gram-Schmidt with column-deficiency handling.
+
+    Columns whose remainder falls below 1e-12 * ||M||_F are dropped from Q,
+    and at most n columns survive; R = Q^T M, so Q @ R reproduces M up to
+    the dropped remainders.  The first ``ortho_prefix`` columns are taken as
+    already orthonormal and enter Q verbatim with identity rows in R; the
+    rest are orthonormalized against them by ``_bcgs2``.
 
     Returns
     -------
@@ -212,41 +249,18 @@ def mgs_qr(m, drop_tol=None, ortho_prefix=0):
     n, k = m.shape
     if k < 1 or n < 1:
         raise DimensionMismatch("mgs_qr needs a nonempty matrix, got %d x %d" % (n, k))
-    if drop_tol is None:
-        drop_tol = _MGS_DROP * np.linalg.norm(m)
     p = int(ortho_prefix)
     if not 0 <= p <= min(n, k):
         raise DimensionMismatch("ortho_prefix out of range")
-    q = np.zeros((n, k))
-    r = np.zeros((k, k))
-    rest = None
-    if p:
-        q[:, :p] = m[:, :p]
-        r[:p, :p] = np.eye(p)
-        if p < k:
-            qp = q[:, :p]
-            rest = m[:, p:].copy()
-            for _ in range(2):
-                c = qp.T @ rest
-                rest -= qp @ c
-                r[:p, p:] += c
-    kp = p
-    for j in range(p, k):
-        v = rest[:, j - p].copy() if rest is not None else m[:, j].copy()
-        if kp:
-            # two passes against every kept column, the prefix included: the
-            # block passes leave rounding-level prefix components that a
-            # nearly dependent remainder magnifies on normalization
-            for _ in range(2):
-                c = q[:, :kp].T @ v
-                v -= q[:, :kp] @ c
-                r[:kp, j] += c
-        nrm = math.sqrt(v @ v)
-        if kp < n and nrm > drop_tol:
-            q[:, kp] = v / nrm
-            r[kp, j] = nrm
-            kp += 1
-    return q[:, :kp].copy(), r[:kp, :].copy()
+    if p == k:
+        return m.copy(), np.eye(k)
+    work = np.array(m, order="F")
+    new, _ = _bcgs2(work[:, :p], work[:, p:], _MGS_DROP * np.linalg.norm(m), n - p)
+    q = work[:, : p + new.shape[1]]
+    r = np.zeros((q.shape[1], k))
+    r[:p, :p] = np.eye(p)
+    r[:, p:] = q.T @ m[:, p:]
+    return q, r
 
 
 def reduced_svd(s):

@@ -57,13 +57,8 @@ def truncate(f, eps):
         u, r1 = mgs_qr(f.u)
         v, r2 = mgs_qr(f.v)
         core = r1 @ f.s @ r2.T
-    w1, sig, w2 = reduced_svd(core)
-    keep = int(np.sum(sig > eps))
-    keep = max(keep, 1)
-    keep = min(keep, sig.shape[0])
-    uu = u @ w1[:, :keep]
-    vv = v @ w2[:, :keep]
-    return LowRankFactors(uu, np.diag(sig[:keep]), vv, orthonormal=True)
+    _, w1, sig, w2 = core_truncate(core, eps)
+    return LowRankFactors(u @ w1, np.diag(sig), v @ w2, orthonormal=True)
 
 
 def joint_basis(f, extra_u, extra_v):
@@ -89,9 +84,9 @@ def joint_basis(f, extra_u, extra_v):
 def core_truncate(core, eps):
     """SVD-truncate a core held in orthonormal bases, keeping sigma > eps.
 
-    Returns (w1 diag(sigma) w2^T as a dense core, w1, sigma, w2) with the
-    rank floor of one mode, mirroring ``truncate`` without touching the
-    outer factors.
+    Returns (w1 diag(sigma) w2^T as a dense core, w1, sigma, w2) with a
+    rank floor of one mode; ``truncate`` applies w1 and w2 to the outer
+    factors.
     """
     w1, sig, w2 = reduced_svd(core)
     keep = max(1, int(np.sum(sig > eps)))

@@ -42,12 +42,12 @@ def heat_cfg(tmp_path, out="out_h", **over):
     return write_cfg(tmp_path, body)
 
 
-def lbfp_cfg(tmp_path, out="out_l"):
+def lbfp_cfg(tmp_path, out="out_l", n=32):
     body = (
         "kind: lbfp-relax\n"
         "integrator: be\n"
-        "grid:\n  n: 32\n"
-        "time:\n  t_final: 0.3\n  dt: 0.1\n"
+        "grid:\n  n: %d\n" % n
+        + "time:\n  t_final: 0.3\n  dt: 0.1\n"
         "output: %s\n" % (tmp_path / out)
     )
     return write_cfg(tmp_path, body)
@@ -115,6 +115,16 @@ class TestValidate:
         rc = main(["validate", cfg])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+
+    def test_too_small_velocity_grid_exits_two(self, tmp_path, capsys):
+        cfg = lbfp_cfg(tmp_path, n=7)
+        for command in ("validate", "run"):
+            rc = main([command, cfg])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert "config error" in err and "grid.n" in err
+        assert not (tmp_path / "out_l").exists()
 
 
 class TestRunHeat:

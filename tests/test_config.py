@@ -124,6 +124,15 @@ class TestRejections:
         rejected({**heat_doc(), "grid": {"n": "wide"}}, "grid.n")
         rejected({**heat_doc(), "grid": {"n": [32, 64]}}, "grid.n")
 
+    def test_lbfp_kinds_need_eight_velocity_cells(self):
+        # the velocity grid rejects n < 8 at run time; heat runs at n >= 3
+        assert validate_config({**heat_doc(), "grid": {"n": 3}}).n == (3,)
+        assert validate_config({**lbfp_doc(), "grid": {"n": 8}}).n == (8,)
+        for n in (3, 7):
+            err = rejected({**lbfp_doc(), "grid": {"n": n}}, "grid.n")
+            assert ">= 8" in str(err)
+            rejected({**sweep_doc(), "grid": {"n": [16, n]}}, "grid.n")
+
     def test_time_rules(self):
         rejected({**heat_doc(), "time": {"lambda": [100]}}, "time.t_final")
         rejected({**heat_doc(), "time": {"t_final": 0.05}}, "time.lambda")

@@ -9,6 +9,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kryrank import krylov
 from kryrank.errors import BasisSaturated, MaxIterationsExceeded, SpectralOverlap
@@ -21,7 +24,7 @@ from kryrank.krylov import (
     seed_basis,
     solve_adaptive,
 )
-from kryrank.linalg import TridiagonalOperator, solve_sylvester_dense
+from kryrank.linalg import TridiagonalOperator, mgs_qr, solve_sylvester_dense
 from kryrank.lowrank import LowRankFactors, lr_frobenius
 
 
@@ -62,7 +65,7 @@ def staged_basis(q, fwd_targets, inv_targets, d):
 
 
 def orthonormality_loss(q):
-    return np.abs(q.T @ q - np.eye(q.shape[1])).max()
+    return np.abs(q.T @ q - np.eye(q.shape[1])).max(initial=0.0)
 
 
 class TestLteTolerance:
@@ -175,6 +178,103 @@ class TestBasisGrowth:
         assert orthonormality_loss(grown.q) <= 1e-13
         with pytest.raises(BasisSaturated):
             grow_basis(grown, diagonal_op(d))
+
+
+COLUMN_KINDS = ("random", "duplicate", "zero", "near")
+
+
+def candidate_block(rng, prefix, kinds):
+    """Columns of the given kinds after an orthonormal prefix.
+
+    "random" is Gaussian with a scale in [1e-2, 1e2]; "duplicate" a scaled
+    copy of an earlier column, prefix included; "zero" is zero; "near" lies in
+    the span of every earlier column, plus a remainder orthogonal to it of
+    1e-9 of its norm (none when that span is the whole space).
+    """
+    n = prefix.shape[0]
+    cols = []
+    for kind in kinds:
+        earlier = np.column_stack([prefix] + cols)
+        if kind == "zero":
+            c = np.zeros(n)
+        elif kind == "random" or earlier.shape[1] == 0:
+            c = 10.0 ** rng.uniform(-2.0, 2.0) * rng.standard_normal(n)
+        elif kind == "duplicate":
+            c = rng.uniform(-3.0, 3.0) * earlier[:, rng.integers(earlier.shape[1])]
+        else:
+            c = earlier @ rng.standard_normal(earlier.shape[1])
+            span = scipy.linalg.orth(earlier)
+            e = rng.standard_normal(n)
+            e -= span @ (span.T @ e)
+            if span.shape[1] < n and np.linalg.norm(c) > 0.0:
+                c += 1e-9 * np.linalg.norm(c) * e / np.linalg.norm(e)
+        cols.append(c)
+    return np.column_stack(cols)
+
+
+def span_remainders(q, m):
+    """Norm of each column of m outside span(q), against an SVD basis of q."""
+    span = scipy.linalg.orth(q) if q.shape[1] else q
+    return np.linalg.norm(m - span @ (span.T @ m), axis=0)
+
+
+# n in [8, 64]; a prefix of up to n - 1 columns; blocks of up to n + 8 columns
+block_cases = st.integers(8, 64).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(0, n - 1),
+        st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=n + 8),
+        st.integers(0, 2**32 - 1),
+    )
+)
+
+
+class TestBlockGramSchmidtProperties:
+    """One BCGS2 kernel behind ``mgs_qr`` and ``grow_basis``, on adversarial blocks."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(block_cases)
+    def test_mgs_qr(self, case):
+        n, p, kinds, seed = case
+        rng = np.random.default_rng(seed)
+        prefix = np.linalg.qr(rng.standard_normal((n, p)))[0]
+        m = np.hstack([prefix, candidate_block(rng, prefix, kinds)])
+        q, r = mgs_qr(m, ortho_prefix=p)
+        assert q.shape[1] <= n
+        assert np.array_equal(q[:, :p], prefix)
+        assert orthonormality_loss(q) <= 1e-13
+        # every column is reproduced up to the drop threshold, 1e-12 ||M||_F
+        drop = 1e-12 * np.linalg.norm(m)
+        assert np.all(np.linalg.norm(q @ r - m, axis=0) <= drop + 1e-14 * np.linalg.norm(m))
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(block_cases)
+    def test_grow_basis(self, case):
+        n, r, kinds, seed = case
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((n, r + 1)))[0]
+        cand = candidate_block(rng, q, kinds)
+        nf = int(rng.integers(cand.shape[1] + 1))
+        d = rng.uniform(1.0, 2.0, n)
+        basis = staged_basis(q, cand[:, :nf], cand[:, nf:], d)
+        # a candidate survives when its remainder exceeds 1e-10 of its norm;
+        # the column kinds keep every remainder far from that threshold
+        outside = span_remainders(q, cand) > 1e-10 * np.linalg.norm(cand, axis=0)
+        try:
+            grown = grow_basis(basis, diagonal_op(d))
+        except BasisSaturated:
+            assert not outside.any()
+            return
+        assert outside.any()
+        assert grown.rank <= n
+        assert np.array_equal(grown.q[:, : r + 1], q)
+        assert orthonormality_loss(grown.q) <= 1e-13
+        new = np.hstack([grown.fwd_block, grown.inv_block])
+        assert np.array_equal(new, grown.q[:, r + 1 :])
+        assert grown.fwd_block.shape[1] <= nf
+        assert grown.inv_block.shape[1] <= cand.shape[1] - nf
+        remainders = span_remainders(grown.q, cand)
+        assert np.all(remainders <= 1e-10 * np.linalg.norm(cand, axis=0) + 1e-13)
 
 
 class TestGalerkinAssembly:
