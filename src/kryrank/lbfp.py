@@ -221,7 +221,10 @@ def _species_arrays(states, species):
 
 
 def _pair_table(y, arrs):
-    """Pair coefficients (nu, u1, u2, D) as (s, s) arrays at the packed moments y.
+    """Pair coefficients (nu, u1, u2, D) as (..., s, s) arrays at the packed moments y.
+
+    ``y`` may carry leading batch axes; each packed vector along them is
+    evaluated independently by the same elementwise operations.
 
     nu_ab = 2^(5/2) e_a^2 e_b^2 n_b (m_b/(m_a+m_b)) (vth_a + vth_b)^(-3/2),
     u_ab the velocity midpoint, and D_ab = T_ab/m_a with the pair temperature
@@ -230,55 +233,71 @@ def _pair_table(y, arrs):
     m_a n_a nu_ab is symmetric in (a, b).
     """
     n_arr, mass, msum, nu_pref, m_outer_4msum, names = arrs
-    g1 = y[0::3]
-    g2 = y[1::3]
+    g1 = y[..., 0::3]
+    g2 = y[..., 1::3]
     u1 = g1 / n_arr
     u2 = g2 / n_arr
-    t = mass * (2.0 * y[2::3] - u1 * g1 - u2 * g2) / (2.0 * n_arr)
-    bad = np.flatnonzero(t <= 0)
+    t = mass * (2.0 * y[..., 2::3] - u1 * g1 - u2 * g2) / (2.0 * n_arr)
+    bad = np.argwhere(t <= 0)
     if bad.size:
+        # the first offending vector in batch order, then its first species
+        first = tuple(bad[0])
         raise NonPositiveDiffusion(
-            "species %s has non-positive temperature %g" % (names[bad[0]], t[bad[0]])
+            "species %s has non-positive temperature %g" % (names[first[-1]], t[first])
         )
     vth = np.sqrt(t / mass)
-    nu = nu_pref * (vth[:, None] + vth[None, :]) ** -1.5
-    du2 = (u1[:, None] - u1[None, :]) ** 2 + (u2[:, None] - u2[None, :]) ** 2
-    tpair = (mass[:, None] * t[None, :] + mass[None, :] * t[:, None]) / msum
+    nu = nu_pref * (vth[..., :, None] + vth[..., None, :]) ** -1.5
+    du2 = (u1[..., :, None] - u1[..., None, :]) ** 2 + (u2[..., :, None] - u2[..., None, :]) ** 2
+    tpair = (mass[:, None] * t[..., None, :] + mass[None, :] * t[..., :, None]) / msum
     tpair = tpair + m_outer_4msum * du2
-    um1 = 0.5 * (u1[:, None] + u1[None, :])
-    um2 = 0.5 * (u2[:, None] + u2[None, :])
+    um1 = 0.5 * (u1[..., :, None] + u1[..., None, :])
+    um2 = 0.5 * (u2[..., :, None] + u2[..., None, :])
     return nu, um1, um2, tpair / mass[:, None]
 
 
 def _rhs_packed(y, arrs):
     """moment_rhs on the packed vector, vectorized over the pair table.
 
-    The Newton stage solver calls this inside its finite difference loop.
+    Leading batch axes of ``y`` are kept: the Newton stage solver evaluates
+    all finite-difference perturbations in one call.
     """
     n_arr = arrs[0]
     nu, um1, um2, diff = _pair_table(y, arrs)
-    g1 = y[0::3]
-    g2 = y[1::3]
-    en = y[2::3]
+    g1 = y[..., 0::3]
+    g2 = y[..., 1::3]
+    en = y[..., 2::3]
     out = np.empty_like(y)
-    out[0::3] = (nu * n_arr[:, None] * (um1 - (g1 / n_arr)[:, None])).sum(axis=1)
-    out[1::3] = (nu * n_arr[:, None] * (um2 - (g2 / n_arr)[:, None])).sum(axis=1)
-    out[2::3] = (
+    out[..., 0::3] = (nu * n_arr[:, None] * (um1 - (g1 / n_arr)[..., :, None])).sum(axis=-1)
+    out[..., 1::3] = (nu * n_arr[:, None] * (um2 - (g2 / n_arr)[..., :, None])).sum(axis=-1)
+    out[..., 2::3] = (
         nu
         * (
             2.0 * diff * n_arr[:, None]
-            - 2.0 * en[:, None]
-            + um1 * g1[:, None]
-            + um2 * g2[:, None]
+            - 2.0 * en[..., :, None]
+            + um1 * g1[..., :, None]
+            + um2 * g2[..., :, None]
         )
-    ).sum(axis=1)
+    ).sum(axis=-1)
     return out
+
+
+def _fd_jacobian(resid, y, g):
+    """Forward-difference Jacobian of ``resid`` at y, given g = resid(y).
+
+    Column j is (resid(y + h_j e_j) - g) / h_j with h_j = 1e-7 (1 + |y_j|);
+    ``resid`` maps a batch of states, one per row, and gets all m perturbed
+    states in one call.
+    """
+    m = y.size
+    h = 1e-7 * (1.0 + np.abs(y))
+    yp = np.tile(y, (m, 1))
+    yp[np.arange(m), np.arange(m)] += h
+    return ((resid(yp) - g) / h[:, None]).T
 
 
 def _moment_stage_solve(r, akk, dt, arrs, scale, max_newton=50):
     """Solve y = r + dt*akk*f(y) by damping-free Newton with a FD Jacobian."""
     y = r.copy()
-    m = y.size
     history = []
 
     def rhs(x):
@@ -289,6 +308,9 @@ def _moment_stage_solve(r, akk, dt, arrs, scale, max_newton=50):
                 "stage iterate is unphysical: %s" % exc, history
             ) from exc
 
+    def resid(x):
+        return x - dt * akk * rhs(x) - r
+
     for _ in range(max_newton):
         fy = rhs(y)
         g = y - dt * akk * fy - r
@@ -296,15 +318,8 @@ def _moment_stage_solve(r, akk, dt, arrs, scale, max_newton=50):
         history.append(res)
         if res <= 1e-12 * scale:
             return y, fy
-        jac = np.empty((m, m))
-        for j in range(m):
-            h = 1e-7 * (1.0 + abs(y[j]))
-            yp = y.copy()
-            yp[j] += h
-            gp = yp - dt * akk * rhs(yp) - r
-            jac[:, j] = (gp - g) / h
         try:
-            step = np.linalg.solve(jac, g)
+            step = np.linalg.solve(_fd_jacobian(resid, y, g), g)
         except np.linalg.LinAlgError:
             raise NewtonDivergence(
                 "singular stage Jacobian", history=history

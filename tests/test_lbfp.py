@@ -24,6 +24,7 @@ from kryrank.lbfp import (
     MomentState,
     PairCoefficients,
     SpeciesConfig,
+    _fd_jacobian,
     _moment_stage_solve,
     _pack,
     _rhs_packed,
@@ -350,6 +351,68 @@ class TestMomentRhs:
                     got = packed[3 * a + j]
                     want = flat[3 * a + j]
                     assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+def column_loop_jacobian(resid, y, g):
+    """Forward-difference Jacobian built one perturbed state at a time."""
+    m = y.size
+    jac = np.empty((m, m))
+    for j in range(m):
+        h = 1e-7 * (1.0 + abs(y[j]))
+        yp = y.copy()
+        yp[j] += h
+        jac[:, j] = (resid(yp) - g) / h
+    return jac
+
+
+class TestStageJacobian:
+    def test_batched_is_bitwise_column_loop(self):
+        rng = np.random.default_rng(29)
+        for trial in range(40):
+            ns = int(rng.integers(1, 5))
+            species = [
+                SpeciesConfig("s%d" % i, float(rng.uniform(0.2, 4)), float(rng.uniform(0.5, 2)))
+                for i in range(ns)
+            ]
+            states = [random_state(rng, sp.mass) for sp in species]
+            arrs = _species_arrays(states, species)
+            y = _pack(states)
+            r = y + 0.01 * rng.standard_normal(y.size)
+            dt_akk = float(rng.uniform(0.01, 10.0))
+
+            def resid(x):
+                return x - dt_akk * _rhs_packed(x, arrs) - r
+
+            g = resid(y)
+            got = _fd_jacobian(resid, y, g)
+            want = column_loop_jacobian(resid, y, g)
+            assert got.tobytes(order="C") == want.tobytes(order="C"), trial
+
+    def test_unphysical_perturbation_names_first_species(self):
+        # b and c sit 1e-8 above zero thermal energy with gam1 = 1, so the
+        # gam1 perturbation (h = 2e-7) drives their temperatures negative
+        species = [SpeciesConfig(name, 1.0, 1.0) for name in "abc"]
+        states = [
+            state_at(1.0, (0.2, 0.1), 1.0, 1.0),
+            MomentState(1.0, 1.0, 0.0, 0.5 + 5e-9),
+            MomentState(1.0, 1.0, 0.0, 0.5 + 5e-9),
+        ]
+        arrs = _species_arrays(states, species)
+        y = _pack(states)
+
+        def resid(x):
+            return x - 0.1 * _rhs_packed(x, arrs)
+
+        g = resid(y)
+        with pytest.raises(NonPositiveDiffusion) as loop:
+            column_loop_jacobian(resid, y, g)
+        with pytest.raises(NonPositiveDiffusion) as batched:
+            _fd_jacobian(resid, y, g)
+        assert str(batched.value) == str(loop.value)
+        assert str(batched.value).startswith("species b ")
+        with pytest.raises(NewtonDivergence) as info:
+            _moment_stage_solve(y, 1.0, 0.1, arrs, 1.0)
+        assert str(info.value.__cause__) == str(loop.value)
 
 
 class TestEquilibriumState:

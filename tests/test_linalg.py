@@ -10,6 +10,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kryrank.dirk import assemble_stage_operator
 from kryrank.errors import DimensionMismatch, SingularOperator, SpectralOverlap
@@ -45,6 +47,50 @@ def random_dd_tridiag(rng, n, corners=False):
     cl = rng.uniform(-0.5, 0.5) if corners else 0.0
     diag = 3.0 + rng.uniform(0.0, 1.0, n)
     return TridiagonalOperator(diag, lower, upper, corner_upper=cu, corner_lower=cl)
+
+
+def indexed_thomas_solve(op, b):
+    """The Thomas recurrence indexed row by row, plus the rank-2 corner correction.
+
+    Reference for the bitwise check of ``TridiagonalOperator.solve``: it
+    reuses only the cached pivots and multipliers.
+    """
+    fact = op._fact
+    piv, mult, upper = fact["piv"], fact["mult"], op.upper
+
+    def thomas(rhs):
+        y = rhs.copy()
+        for i in range(op.n - 1):
+            y[i + 1] -= mult[i] * y[i]
+        y[-1] /= piv[-1]
+        for i in range(op.n - 2, -1, -1):
+            y[i] = (y[i] - upper[i] * y[i + 1]) / piv[i]
+        return y
+
+    bm = b[:, None] if b.ndim == 1 else b
+    x = thomas(bm)
+    if op.corner_upper or op.corner_lower:
+        p = np.zeros((op.n, 2))
+        p[0, 0] = 1.0
+        p[-1, 1] = 1.0
+        z = thomas(p)
+        qt_z = np.empty((2, 2))
+        qt_z[0] = op.corner_upper * z[-1]
+        qt_z[1] = op.corner_lower * z[0]
+        cap = np.eye(2) + qt_z
+        qt_x = np.vstack([op.corner_upper * x[-1], op.corner_lower * x[0]])
+        x = x - z @ np.linalg.solve(cap, qt_x)
+    return x[:, 0] if b.ndim == 1 else x
+
+
+# n in [2, 64], 1 to 8 columns, with or without corners, rhs layout, seed
+thomas_cases = st.tuples(
+    st.integers(2, 64),
+    st.integers(1, 8),
+    st.booleans(),
+    st.sampled_from(["1-D", "C", "F"]),
+    st.integers(0, 2**32 - 1),
+)
 
 
 class TestTridiagonalOperator:
@@ -132,6 +178,21 @@ class TestTridiagonalOperator:
         assert TridiagonalOperator(ones, ones[:2], ones[:2], 2.0, 2.0).symmetric
         with pytest.raises(AttributeError):
             heat.symmetric = False
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(thomas_cases)
+    def test_solve_is_bitwise_indexed_recurrence(self, case):
+        n, k, corners, layout, seed = case
+        rng = np.random.default_rng(seed)
+        op = random_dd_tridiag(rng, n, corners=corners)
+        if layout == "1-D":
+            b = rng.standard_normal(n)
+        else:
+            b = np.asarray(rng.standard_normal((n, k)), order=layout)
+        got = op.solve(b)
+        want = indexed_thomas_solve(op, b)
+        assert got.shape == b.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_singular_pivot_raises(self):
         op = TridiagonalOperator(np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0]))
