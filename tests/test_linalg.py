@@ -53,7 +53,7 @@ def indexed_thomas_solve(op, b):
     """The Thomas recurrence indexed row by row, plus the rank-2 corner correction.
 
     Reference for the bitwise check of ``TridiagonalOperator.solve``: it
-    reuses only the cached pivots and multipliers.
+    reuses only the pivots and multipliers that a first ``op.solve`` cached.
     """
     fact = op._fact
     piv, mult, upper = fact["piv"], fact["mult"], op.upper
