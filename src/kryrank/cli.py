@@ -42,12 +42,8 @@ def _add_common(sub):
     sub.add_argument("config", help="YAML experiment file")
     sub.add_argument("--out", default=None, help="output directory override")
     sub.add_argument("--seed", type=int, default=None, help="seed override")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for independent sweep points",
-    )
+    # sweeps run serially; 1 stays accepted for scripts that still pass it
+    sub.add_argument("--threads", type=int, choices=(1,), help=argparse.SUPPRESS)
 
 
 def build_parser():
@@ -182,9 +178,9 @@ def main(argv=None):
     out_dir = Path(cfg.output)
     try:
         if args.command == "compare":
-            run_compare(cfg, out_dir, threads=args.threads)
+            run_compare(cfg, out_dir)
         else:
-            _RUNNERS[cfg.kind](cfg, out_dir, threads=args.threads)
+            _RUNNERS[cfg.kind](cfg, out_dir)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -23,18 +23,19 @@ Grammar (all keys lowercase; unknown top-level keys rejected):
     output: str                # default "out"
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import yaml
 
+from .dirk import builtin_tables, get_table
 from .errors import ConfigError
 from .lbfp import MIN_VELOCITY_CELLS, SpeciesConfig, benchmark_species
 
 KINDS = ("heat-convergence", "lbfp-relax", "complexity-sweep")
-INTEGRATORS = ("be", "dirk2", "dirk3")
+INTEGRATORS = tuple(builtin_tables())
 PIPELINES = ("adaptive", "dense")
 
-_STAGES = {"be": 1, "dirk2": 2, "dirk3": 3}
 _DEFAULT_TOL = {"be": 1.0, "dirk2": 1e-3, "dirk3": 1e-3}
 
 _TOP_KEYS = {
@@ -74,9 +75,13 @@ class ExperimentConfig:
 
 def _as_float(value, fieldname, positive=False, nonnegative=False):
     try:
+        if isinstance(value, bool):
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError):
         raise ConfigError("expected a number, got %r" % (value,), fieldname) from None
+    if not math.isfinite(x):
+        raise ConfigError("must be finite, got %r" % (value,), fieldname)
     if positive and not x > 0:
         raise ConfigError("must be > 0, got %g" % x, fieldname)
     if nonnegative and not x >= 0:
@@ -87,10 +92,10 @@ def _as_float(value, fieldname, positive=False, nonnegative=False):
 def _as_int(value, fieldname, minimum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         try:
-            if float(value) != int(value):
+            if isinstance(value, bool) or float(value) != int(value):
                 raise ValueError
             value = int(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(
                 "expected an integer, got %r" % (value,), fieldname
             ) from None
@@ -214,7 +219,7 @@ def validate_config(doc):
         trunc.get("eps_rel", default_eps), "truncation.eps_rel", nonnegative=True
     )
 
-    stages = _STAGES[integrator]
+    stages = get_table(integrator).stages
     tol_raw = doc.get("tolerances", _DEFAULT_TOL[integrator])
     tol_list = _as_list(tol_raw)
     if len(tol_list) == 1:

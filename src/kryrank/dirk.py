@@ -1,10 +1,11 @@
 """Diagonally implicit Runge-Kutta stepping for stiff matrix ODEs dF/dt = D1 F + F D2^T.
 
 Stage systems (I/2 - dt*a_kk*D1) F^(k) + F^(k) (I/2 - dt*a_kk*D2)^T = B^(k)
-share a single pair of extended Krylov bases; if any stage residual misses its
-tolerance the whole step is rejected and the bases regrown (with the stage-1
-operators) before all stages are retried.  Tables are stiffly accurate, so the
-step ends on the last stage core.
+share a single pair of extended Krylov bases.  Tables are singly diagonally
+implicit (one a_kk), so every stage has the same operator pair; if any stage
+residual misses its tolerance the whole step is rejected and the bases regrown
+with that pair before all stages are retried.  Tables are stiffly accurate, so
+the step ends on the last stage core.
 """
 
 from dataclasses import dataclass, field
@@ -18,10 +19,11 @@ from .lowrank import LowRankFactors
 
 @dataclass(frozen=True)
 class ButcherTable:
-    """Lower-triangular stage coefficients with positive diagonal.
+    """Lower-triangular stage coefficients with a constant positive diagonal.
 
-    Stiff accuracy (b equal to the last row of a) and row-sum consistency
-    (c_i = sum_j a_ij) are enforced at construction.
+    The constant diagonal (a singly diagonally implicit table), stiff accuracy
+    (b equal to the last row of a) and row-sum consistency (c_i = sum_j a_ij)
+    are enforced at construction.
     """
 
     name: str
@@ -39,6 +41,8 @@ class ButcherTable:
             raise DimensionMismatch("stage matrix must be lower triangular")
         if np.any(np.diag(a) <= 0.0):
             raise DimensionMismatch("stage diagonal must be positive")
+        if np.any(np.diag(a) != a[0, 0]):
+            raise DimensionMismatch("stage diagonal must be constant")
         if np.max(np.abs(b - a[-1])) > 1e-14:
             raise DimensionMismatch("table is not stiffly accurate (b != last row of a)")
         if np.max(np.abs(c - a.sum(axis=1))) > 1e-14:
@@ -113,7 +117,7 @@ class StepDiagnostics:
     late_stage_restarts: int = 0
 
 
-def dirk_step(f_n, table, dt, generators, tolerances, post_process=None, max_iter=50):
+def dirk_step(f_n, table, dt, generators, tolerances, post_process=None):
     """Advance F by one DIRK step of size dt.
 
     Parameters
@@ -133,15 +137,11 @@ def dirk_step(f_n, table, dt, generators, tolerances, post_process=None, max_ite
     if len(tolerances) != table.stages:
         raise DimensionMismatch("need one tolerance per stage")
     # scaled_shifted returns its last operator again for an equal (shift,
-    # scale), so stages and steps sharing a_kk share one factorized object
+    # scale), so steps sharing dt share one factorized object
     d1, d2 = generators
-    stage_ops = [
-        (assemble_stage_operator(d1, dt, akk), assemble_stage_operator(d2, dt, akk))
-        for akk in np.diag(table.a)
-    ]
-    u, cores, v, diag = adaptive_stage_solve(
-        stage_ops, f_n, list(tolerances), table.a, max_iter=max_iter
-    )
+    akk = table.a[0, 0]
+    ops = (assemble_stage_operator(d1, dt, akk), assemble_stage_operator(d2, dt, akk))
+    u, cores, v, diag = adaptive_stage_solve(ops, f_n, list(tolerances), table.a)
     f_raw = LowRankFactors(u, cores[-1], v, orthonormal=True)
     f_next = post_process(f_raw) if post_process is not None else f_raw
     return f_next, StepDiagnostics(

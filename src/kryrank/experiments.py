@@ -1,15 +1,14 @@
 """Benchmark drivers: each experiment kind produces a fixed set of CSV files.
 
 All CSVs are comma-separated with '.' decimals and LF line endings, floats in
-%.12e, a header line first and a trailing metadata comment line.  With one
-worker thread the bytes are identical across runs at the same seed; timing.csv
-is the exception since wall clocks are not reproducible.
+%.12e, a header line first and a trailing metadata comment line.  The bytes
+are identical across runs at the same seed; timing.csv is the exception since
+wall clocks are not reproducible.
 """
 
 import math
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -56,14 +55,6 @@ def write_csv(path, header, rows):
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
         fh.write("# schema_version=1,build=%s\n" % _BUILD)
-
-
-def _parallel_map(fn, items, threads):
-    """Map preserving input order; sweep points run on worker threads."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _residual_cell(residuals):
@@ -151,12 +142,10 @@ def _write_rank_history(out_dir, series_histories):
     )
 
 
-def run_heat_convergence(cfg, out_dir, threads=1):
+def run_heat_convergence(cfg, out_dir):
     """Sweep the step-size ratios, writing convergence.csv and rank_history.csv."""
     table = get_table(cfg.integrator)
-    results = _parallel_map(
-        lambda lam: _heat_point(cfg, lam, table), list(cfg.lambdas), threads
-    )
+    results = [_heat_point(cfg, lam, table) for lam in cfg.lambdas]
     orders = _observed_orders(results)
     write_csv(
         Path(out_dir) / "convergence.csv",
@@ -180,7 +169,7 @@ def _kinetic_states(system):
     ]
 
 
-def run_lbfp_relax(cfg, out_dir, threads=1):
+def run_lbfp_relax(cfg, out_dir):
     """Advance the collision benchmark, logging moments and conservation drift.
 
     Conservation entries are relative: mass per species against its initial
@@ -188,7 +177,6 @@ def run_lbfp_relax(cfg, out_dir, threads=1):
     total, and momentum against the thermal scale sum_a m_a n_a vth_a, since
     the initial total momentum is zero for counter-streaming states.
     """
-    del threads
     table = get_table(cfg.integrator)
     system = initialize_system(cfg.species, cfg.n[0], cfg.halfwidth)
     dt = cfg.dt
@@ -282,14 +270,12 @@ def run_lbfp_relax(cfg, out_dir, threads=1):
     return {"system": system, "conservation": cons_rows}
 
 
-def run_complexity(cfg, out_dir, threads=1):
+def run_complexity(cfg, out_dir):
     """Time the chosen pipeline over the grid-size list; median over repetitions.
 
     Timing covers only the step loop: state construction and CSV writing stay
-    outside the clock, and grid sizes run serially regardless of the thread
-    count so measurements do not contend.
+    outside the clock.
     """
-    del threads
     table = get_table(cfg.integrator)
     dt = cfg.dt
     steps = max(1, int(round(cfg.t_final / dt)))
@@ -338,7 +324,7 @@ def run_complexity(cfg, out_dir, threads=1):
     return {"rows": rows, "slope": slope}
 
 
-def run_compare(cfg, out_dir, threads=1):
+def run_compare(cfg, out_dir):
     """Run the adaptive and full-rank pipelines side by side on the heat sweep."""
     if cfg.kind != "heat-convergence":
         raise ConfigError("compare needs a heat-convergence config", "kind")
@@ -355,9 +341,8 @@ def run_compare(cfg, out_dir, threads=1):
         err_dense = float(np.abs(fd - res["reference"]).sum()) * dx * dx
         return res["lambda"], res["dt"], res["error"], err_dense
 
-    results = _parallel_map(point, list(cfg.lambdas), threads)
     rows = []
-    for lam, dt, err_lr, err_dense in results:
+    for lam, dt, err_lr, err_dense in map(point, cfg.lambdas):
         if err_dense > 0:
             ratio = err_lr / err_dense
         else:

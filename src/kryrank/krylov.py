@@ -165,19 +165,14 @@ class SolveDiagnostics:
     reject_stages: list = field(default_factory=list)
 
 
-def _memo(cache, key, make, *args):
-    if key not in cache:
-        cache[key] = make(*args)
-    return cache[key]
-
-
-def adaptive_stage_solve(stage_ops, b, tols, coeff, max_iter=50):
+def adaptive_stage_solve(ops, b, tols, coeff, max_iter=50):
     """Grow shared bases until every projected stage equation meets its tolerance.
 
     Parameters
     ----------
-    stage_ops : list of (op1, op2)
-        Per-stage operator pairs; growth always uses the first pair.
+    ops : (op1, op2)
+        The stage operator pair, shared by every stage (the tables are singly
+        diagonally implicit) and used for basis growth.
     b : LowRankFactors
         Factored right-hand side seeding both bases.
     tols : sequence of float
@@ -188,12 +183,12 @@ def adaptive_stage_solve(stage_ops, b, tols, coeff, max_iter=50):
 
     Returns (u, cores, v, diagnostics); one core per stage.  Any stage
     failing its tolerance rejects the whole sweep and triggers one growth
-    round before all stages are retried.  Within a round each distinct
-    operator pair is projected and factored once (``eigh`` on a symmetric
-    side, a real Schur form otherwise); stages sharing it (a constant DIRK
-    diagonal) only back-solve.
+    round before all stages are retried.  Each round projects and factors
+    the pair once (``eigh`` on a symmetric side, a real Schur form
+    otherwise), and every stage only back-solves.
     """
-    s = len(stage_ops)
+    op1, op2 = ops
+    s = coeff.shape[0]
     if len(tols) != s:
         raise DimensionMismatch("need one tolerance per stage")
     ub = seed_basis(b.u, orthonormal=b.orthonormal)
@@ -203,20 +198,15 @@ def adaptive_stage_solve(stage_ops, b, tols, coeff, max_iter=50):
     best = None
     saturated = False
     for m in range(max_iter + 1):
-        cache1, cache2, schurs = {}, {}, {}
+        a1_red, r_u = _galerkin_side(op1, ub.q)
+        a2_red, r_v = _galerkin_side(op2, vb.q)
+        schur = sylvester_schur(a1_red, a2_red, (op1.symmetric, op2.symmetric))
         b1 = _reduced_rhs(b, ub.q, vb.q)
         increments = []
         cores = []
         stage_res = []
         ok = True
         for k in range(s):
-            op1, op2 = stage_ops[k]
-            a1_red, r_u = _memo(cache1, id(op1), _galerkin_side, op1, ub.q)
-            a2_red, r_v = _memo(cache2, id(op2), _galerkin_side, op2, vb.q)
-            schur = _memo(
-                schurs, (id(op1), id(op2)), sylvester_schur,
-                a1_red, a2_red, (op1.symmetric, op2.symmetric),
-            )
             bk = b1.copy()
             for l in range(k):
                 bk += coeff[k, l] * increments[l]
@@ -242,12 +232,12 @@ def adaptive_stage_solve(stage_ops, b, tols, coeff, max_iter=50):
             break
         grew = False
         try:
-            ub = grow_basis(ub, stage_ops[0][0])
+            ub = grow_basis(ub, op1)
             grew = True
         except BasisSaturated:
             pass
         try:
-            vb = grow_basis(vb, stage_ops[0][1])
+            vb = grow_basis(vb, op2)
             grew = True
         except BasisSaturated:
             pass
@@ -265,6 +255,6 @@ def adaptive_stage_solve(stage_ops, b, tols, coeff, max_iter=50):
 def solve_adaptive(a1, a2, b, eps_tol, max_iter=50):
     """Adaptive-rank solve of A1 F + F A2^T = B to Frobenius residual < eps_tol."""
     u, cores, v, diag = adaptive_stage_solve(
-        [(a1, a2)], b, [eps_tol], np.ones((1, 1)), max_iter=max_iter
+        (a1, a2), b, [eps_tol], np.ones((1, 1)), max_iter=max_iter
     )
     return LowRankFactors(u, cores[0], v, orthonormal=True), diag

@@ -480,7 +480,7 @@ def initialize_system(species, n_points, halfwidth=10.0):
     return LbfpSystem(list(species), grids, dvs, factors, states)
 
 
-def lbfp_step(system, table, dt, tol_constants, eps_rel=1e-8, max_iter=50):
+def lbfp_step(system, table, dt, tol_constants, eps_rel=1e-8):
     """Advance the coupled system by one step of size dt.
 
     Order of operations: implicit moment update; pair coefficients frozen at
@@ -509,8 +509,7 @@ def lbfp_step(system, table, dt, tol_constants, eps_rel=1e-8, max_iter=50):
 
         try:
             f_next, d = dirk_step(
-                system.factors[a], table, dt, ops, tols,
-                post_process=post, max_iter=max_iter,
+                system.factors[a], table, dt, ops, tols, post_process=post
             )
         except SolveFailure as exc:
             exc.where["species"] = sp.name

@@ -55,7 +55,7 @@ def announce(tag, ok, detail):
 
 
 def run_cfg(runner, text, out_dir):
-    runner(validate_config(yaml.safe_load(text)), str(out_dir), threads=1)
+    runner(validate_config(yaml.safe_load(text)), str(out_dir))
 
 
 def csv_rows(path):

@@ -116,6 +116,13 @@ class TestValidate:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_infinite_seed_exits_two(self, tmp_path, capsys):
+        cfg = heat_cfg(tmp_path, extra="seed: .inf\n")
+        rc = main(["validate", cfg])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and "seed" in err
+
 
     def test_too_small_velocity_grid_exits_two(self, tmp_path, capsys):
         cfg = lbfp_cfg(tmp_path, n=7)
@@ -191,6 +198,16 @@ class TestRunHeat:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_threads_accepts_only_one(self, tmp_path):
+        # sweep points run serially; --threads 1 is still accepted
+        cfg = heat_cfg(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["run", cfg, "--threads", "2"])
+        assert info.value.code == 2
+        assert not (tmp_path / "out_h").exists()
+        assert main(["run", cfg, "--threads", "1"]) == 0
+        assert (tmp_path / "out_h" / "convergence.csv").is_file()
 
     def test_unreachable_tolerance_exits_one(self, tmp_path, capsys):
         cfg = heat_cfg(

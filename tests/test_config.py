@@ -7,6 +7,7 @@ path.
 
 import numpy as np
 import pytest
+import yaml
 
 from kryrank.config import ExperimentConfig, load_config, validate_config
 from kryrank.errors import ConfigError
@@ -179,6 +180,29 @@ class TestRejections:
         rejected(heat_doc(seed="abc"), "seed")
         with pytest.raises(ConfigError):
             validate_config(heat_doc(output=""))
+
+    @pytest.mark.parametrize("value", [".inf", "-.inf", ".nan", "true"])
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            (lambda v: {**heat_doc(), "time": {"t_final": v, "lambda": [100]}},
+             "time.t_final"),
+            (lambda v: {**lbfp_doc(), "time": {"t_final": 1.0, "dt": v}}, "time.dt"),
+            (lambda v: {**heat_doc(), "time": {"t_final": 0.05, "lambda": [100, v]}},
+             "time.lambda"),
+            (lambda v: heat_doc(truncation={"eps_rel": v}), "truncation.eps_rel"),
+            (lambda v: heat_doc(diffusion=[v, 0.5]), "diffusion[0]"),
+            (lambda v: lbfp_doc(grid_halfwidth=v), "grid_halfwidth"),
+            (lambda v: heat_doc(seed=v), "seed"),
+            (lambda v: sweep_doc(timing_reps=v), "timing_reps"),
+        ],
+        ids=["t_final", "dt", "lambda", "eps_rel", "diffusion", "grid_halfwidth",
+             "seed", "timing_reps"],
+    )
+    def test_non_finite_and_boolean_numbers(self, doc, field, value):
+        # the YAML spellings a user would write; each must fail validation,
+        # not pass as 1 or overflow later in int(round(t_final / dt))
+        rejected(doc(yaml.safe_load(value)), field)
 
 
 class TestOverridesAndLoading:

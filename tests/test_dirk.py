@@ -96,6 +96,19 @@ class TestButcherTables:
                 order=1,
             )
 
+    def test_non_constant_diagonal_rejected(self):
+        # every stage shares one operator pair, so a_kk must not vary
+        from kryrank.dirk import ButcherTable
+
+        with pytest.raises(DimensionMismatch, match="constant"):
+            ButcherTable(
+                name="varying-diagonal",
+                a=np.array([[0.3, 0.0], [0.6, 0.4]]),
+                b=np.array([0.6, 0.4]),
+                c=np.array([0.3, 1.0]),
+                order=1,
+            )
+
 
 class TestStageOperator:
     def test_zero_generator_gives_half_identity(self):
@@ -116,9 +129,7 @@ class TestStageOperator:
 
 
 def stage_ops(d, table, dt):
-    return [
-        (assemble_stage_operator(d, dt, akk),) * 2 for akk in np.diag(table.a)
-    ]
+    return (assemble_stage_operator(d, dt, table.a[0, 0]),) * 2
 
 
 class TestStageRhs:
@@ -133,8 +144,8 @@ class TestStageRhs:
         b = LowRankFactors(u, np.diag([1.0, 0.3]), u, orthonormal=True)
         qu, cores, qv, _ = adaptive_stage_solve(ops, b, [1e-10] * 2, table.a)
         # independent route: dense Galerkin projection and scipy's solver
-        a1 = qu.T @ ops[0][0].dense() @ qu
-        a2 = qv.T @ ops[0][1].dense() @ qv
+        a1 = qu.T @ ops[0].dense() @ qu
+        a2 = qv.T @ ops[1].dense() @ qv
         want = scipy.linalg.solve_sylvester(a1, a2.T, qu.T @ b.materialize() @ qv)
         assert np.abs(cores[0] - want).max() <= 1e-12 * np.abs(want).max()
 
