@@ -65,7 +65,6 @@ from .lbfp import (
     lbfp_step,
     lomac_project,
     maxwellian_factors,
-    moment_dirk_solve,
     moment_rhs,
     moment_step,
     total_invariants,

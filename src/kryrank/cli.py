@@ -136,7 +136,7 @@ def _canonical_lines(cfg):
         lines.append("time.dt = %g" % cfg.dt)
     lines += [
         "truncation.eps_rel = %g" % cfg.eps_rel,
-        "tolerances = %s" % ", ".join("%g" % v for v in cfg.tolerance_constants),
+        "tolerances = %g" % cfg.tolerance_constant,
         "lomac = %s" % ("true" if cfg.lomac else "false"),
         "pipeline = %s" % cfg.pipeline,
         "diffusion = %g, %g" % cfg.diffusion,

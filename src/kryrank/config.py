@@ -12,7 +12,7 @@ Grammar (all keys lowercase; unknown top-level keys rejected):
       dt: float                # explicit step; other kinds
     truncation:
       eps_rel: float           # default 1e-10 (heat) / 1e-8 (lbfp kinds)
-    tolerances: float or [float, ...]   # per-stage residual constants C_k
+    tolerances: float          # residual constant C; tolerance C * dt^(order+1)
     lomac: bool                # heat conservative correction, default true
     pipeline: adaptive | dense # default adaptive
     diffusion: [d1, d2]        # heat, default [0.5, 0.5]
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import yaml
 
-from .dirk import builtin_tables, get_table
+from .dirk import builtin_tables
 from .errors import ConfigError
 from .lbfp import MIN_VELOCITY_CELLS, SpeciesConfig, benchmark_species
 
@@ -54,7 +54,7 @@ class ExperimentConfig:
     dt: float
     t_final: float
     eps_rel: float
-    tolerance_constants: tuple
+    tolerance_constant: float
     lomac: bool
     pipeline: str
     diffusion: tuple
@@ -219,20 +219,8 @@ def validate_config(doc):
         trunc.get("eps_rel", default_eps), "truncation.eps_rel", nonnegative=True
     )
 
-    stages = get_table(integrator).stages
-    tol_raw = doc.get("tolerances", _DEFAULT_TOL[integrator])
-    tol_list = _as_list(tol_raw)
-    if len(tol_list) == 1:
-        tol_list = tol_list * stages
-    if len(tol_list) != stages:
-        raise ConfigError(
-            "%s needs %d per-stage constants, got %d"
-            % (integrator, stages, len(tol_list)),
-            "tolerances",
-        )
-    tols = tuple(
-        _as_float(v, "tolerances[%d]" % i, positive=True)
-        for i, v in enumerate(tol_list)
+    tol = _as_float(
+        doc.get("tolerances", _DEFAULT_TOL[integrator]), "tolerances", positive=True
     )
 
     lomac = doc.get("lomac", True)
@@ -278,7 +266,7 @@ def validate_config(doc):
         dt=dt,
         t_final=t_final,
         eps_rel=eps_rel,
-        tolerance_constants=tols,
+        tolerance_constant=tol,
         lomac=lomac,
         pipeline=pipeline,
         diffusion=diffusion,

@@ -2,10 +2,10 @@
 
 Stage systems (I/2 - dt*a_kk*D1) F^(k) + F^(k) (I/2 - dt*a_kk*D2)^T = B^(k)
 share a single pair of extended Krylov bases.  Tables are singly diagonally
-implicit (one a_kk), so every stage has the same operator pair; if any stage
-residual misses its tolerance the whole step is rejected and the bases regrown
-with that pair before all stages are retried.  Tables are stiffly accurate, so
-the step ends on the last stage core.
+implicit (one a_kk), so every stage has the same operator pair, and every
+stage meets the same residual tolerance; if any stage misses it the whole step
+is rejected and the bases regrown with that pair before all stages are
+retried.  Tables are stiffly accurate, so the step ends on the last stage core.
 """
 
 from dataclasses import dataclass, field
@@ -117,7 +117,7 @@ class StepDiagnostics:
     late_stage_restarts: int = 0
 
 
-def dirk_step(f_n, table, dt, generators, tolerances, post_process=None):
+def dirk_step(f_n, table, dt, generators, tolerance, post_process=None):
     """Advance F by one DIRK step of size dt.
 
     Parameters
@@ -126,22 +126,20 @@ def dirk_step(f_n, table, dt, generators, tolerances, post_process=None):
         Current state with orthonormal factors.
     generators : (d1, d2) pair
         Operators defining the right-hand side D1 F + F D2^T.
-    tolerances : sequence of float
-        Per-stage Krylov residual tolerances.
+    tolerance : float
+        Krylov residual tolerance every stage must meet.
     post_process : callable, optional
         Applied once to the accepted step-end factors (truncation or a
         conservative correction).  Defaults to identity.
 
     Returns (f_next, StepDiagnostics).
     """
-    if len(tolerances) != table.stages:
-        raise DimensionMismatch("need one tolerance per stage")
     # scaled_shifted returns its last operator again for an equal (shift,
     # scale), so steps sharing dt share one factorized object
     d1, d2 = generators
     akk = table.a[0, 0]
     ops = (assemble_stage_operator(d1, dt, akk), assemble_stage_operator(d2, dt, akk))
-    u, cores, v, diag = adaptive_stage_solve(ops, f_n, list(tolerances), table.a)
+    u, cores, v, diag = adaptive_stage_solve(ops, f_n, tolerance, table.a)
     f_raw = LowRankFactors(u, cores[-1], v, orthonormal=True)
     f_next = post_process(f_raw) if post_process is not None else f_raw
     return f_next, StepDiagnostics(

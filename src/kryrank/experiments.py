@@ -71,7 +71,7 @@ def _heat_point(cfg, lam, table):
     n_exact = discrete_mass(f0, dx, dx)
     dt = lam * dx * dx
     steps = max(1, int(round(cfg.t_final / dt)))
-    tols = [lte_tolerance(c, dt, table.order) for c in cfg.tolerance_constants]
+    tol = lte_tolerance(cfg.tolerance_constant, dt, table.order)
 
     def post(raw):
         eps = cfg.eps_rel * spectral_scale(raw)
@@ -83,7 +83,7 @@ def _heat_point(cfg, lam, table):
     history = []
     for step in range(steps):
         try:
-            f, diag = dirk_step(f, table, dt, (d1, d2), tols, post_process=post)
+            f, diag = dirk_step(f, table, dt, (d1, d2), tol, post_process=post)
         except SolveFailure as exc:
             exc.where = {"step": step, "t": (step + 1) * dt, "lambda": lam, **exc.where}
             raise
@@ -225,7 +225,7 @@ def run_lbfp_relax(cfg, out_dir):
         t = (step + 1) * dt
         try:
             system, diags = lbfp_step(
-                system, table, dt, cfg.tolerance_constants, eps_rel=cfg.eps_rel
+                system, table, dt, cfg.tolerance_constant, eps_rel=cfg.eps_rel
             )
         except SolveFailure as exc:
             exc.where = {"step": step, "t": t, **exc.where}
@@ -290,10 +290,16 @@ def run_complexity(cfg, out_dir):
             if cfg.pipeline == "adaptive":
                 state = system0
                 t0 = time.perf_counter()
-                for _ in range(steps):
-                    state, _diag = lbfp_step(
-                        state, table, dt, cfg.tolerance_constants, eps_rel=cfg.eps_rel
-                    )
+                for step in range(steps):
+                    try:
+                        state, _diag = lbfp_step(
+                            state, table, dt, cfg.tolerance_constant,
+                            eps_rel=cfg.eps_rel,
+                        )
+                    except SolveFailure as exc:
+                        t = (step + 1) * dt
+                        exc.where = {"step": step, "t": t, "n": n, **exc.where}
+                        raise
                 samples.append(time.perf_counter() - t0)
             else:
                 states = list(system0.states)

@@ -30,8 +30,6 @@ class ExtendedKrylovBasis:
     """
 
     q: np.ndarray
-    m: int
-    seed_rank: int
     fwd_block: np.ndarray
     inv_block: np.ndarray
 
@@ -45,7 +43,7 @@ def seed_basis(u0, orthonormal=False):
     q, _ = mgs_qr(u0, ortho_prefix=u0.shape[1] if orthonormal else 0)
     if q.shape[1] == 0:
         raise DimensionMismatch("seed block is numerically zero")
-    return ExtendedKrylovBasis(q, 0, q.shape[1], q.copy(), q.copy())
+    return ExtendedKrylovBasis(q, q.copy(), q.copy())
 
 
 def grow_basis(basis, op):
@@ -74,8 +72,7 @@ def grow_basis(basis, op):
         raise BasisSaturated("no candidate column survived deflation")
     n_fwd = sum(j < nf for j in accepted)
     return ExtendedKrylovBasis(
-        np.hstack([basis.q, new]), basis.m + 1, basis.seed_rank,
-        new[:, :n_fwd], new[:, n_fwd:],
+        np.hstack([basis.q, new]), new[:, :n_fwd], new[:, n_fwd:]
     )
 
 
@@ -165,8 +162,8 @@ class SolveDiagnostics:
     reject_stages: list = field(default_factory=list)
 
 
-def adaptive_stage_solve(ops, b, tols, coeff, max_iter=50):
-    """Grow shared bases until every projected stage equation meets its tolerance.
+def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
+    """Grow shared bases until every projected stage equation meets the tolerance.
 
     Parameters
     ----------
@@ -175,22 +172,20 @@ def adaptive_stage_solve(ops, b, tols, coeff, max_iter=50):
         diagonally implicit) and used for basis growth.
     b : LowRankFactors
         Factored right-hand side seeding both bases.
-    tols : sequence of float
-        Per-stage residual tolerances (strict ``<`` acceptance).
+    tol : float
+        Residual tolerance of every stage (strict ``<`` acceptance).
     coeff : (s, s) ndarray
         Lower-triangular stage coefficients; stage k's rhs is
         B~1 + sum_{l<k} coeff[k,l] * (S_l - B~_l)/coeff[l,l].
 
     Returns (u, cores, v, diagnostics); one core per stage.  Any stage
-    failing its tolerance rejects the whole sweep and triggers one growth
+    failing the tolerance rejects the whole sweep and triggers one growth
     round before all stages are retried.  Each round projects and factors
-    the pair once (``eigh`` on a symmetric side, a real Schur form
-    otherwise), and every stage only back-solves.
+    the pair once (``eigh`` when both operators are symmetric, real Schur
+    forms otherwise), and every stage only back-solves.
     """
     op1, op2 = ops
     s = coeff.shape[0]
-    if len(tols) != s:
-        raise DimensionMismatch("need one tolerance per stage")
     ub = seed_basis(b.u, orthonormal=b.orthonormal)
     vb = seed_basis(b.v, orthonormal=b.orthonormal)
     history = []
@@ -200,7 +195,7 @@ def adaptive_stage_solve(ops, b, tols, coeff, max_iter=50):
     for m in range(max_iter + 1):
         a1_red, r_u = _galerkin_side(op1, ub.q)
         a2_red, r_v = _galerkin_side(op2, vb.q)
-        schur = sylvester_schur(a1_red, a2_red, (op1.symmetric, op2.symmetric))
+        schur = sylvester_schur(a1_red, a2_red, op1.symmetric and op2.symmetric)
         b1 = _reduced_rhs(b, ub.q, vb.q)
         increments = []
         cores = []
@@ -215,7 +210,7 @@ def adaptive_stage_solve(ops, b, tols, coeff, max_iter=50):
             stage_res.append(res)
             if k == 0:
                 best = LowRankFactors(ub.q, sk, vb.q, orthonormal=True)
-            if not (res < tols[k]):
+            if not (res < tol):
                 ok = False
                 rejects.append(k)
                 break
@@ -255,6 +250,6 @@ def adaptive_stage_solve(ops, b, tols, coeff, max_iter=50):
 def solve_adaptive(a1, a2, b, eps_tol, max_iter=50):
     """Adaptive-rank solve of A1 F + F A2^T = B to Frobenius residual < eps_tol."""
     u, cores, v, diag = adaptive_stage_solve(
-        (a1, a2), b, [eps_tol], np.ones((1, 1)), max_iter=max_iter
+        (a1, a2), b, eps_tol, np.ones((1, 1)), max_iter=max_iter
     )
     return LowRankFactors(u, cores[0], v, orthonormal=True), diag

@@ -296,7 +296,10 @@ def _fd_jacobian(resid, y, g):
 
 
 def _moment_stage_solve(r, akk, dt, arrs, scale, max_newton=50):
-    """Solve y = r + dt*akk*f(y) by damping-free Newton with a FD Jacobian."""
+    """Solve y = r + dt*akk*f(y) by damping-free Newton with a FD Jacobian.
+
+    Returns f(y) at the solution, the stage derivative the step end is built from.
+    """
     y = r.copy()
     history = []
 
@@ -317,7 +320,7 @@ def _moment_stage_solve(r, akk, dt, arrs, scale, max_newton=50):
         res = float(np.max(np.abs(g)))
         history.append(res)
         if res <= 1e-12 * scale:
-            return y, fy
+            return fy
         try:
             step = np.linalg.solve(_fd_jacobian(resid, y, g), g)
         except np.linalg.LinAlgError:
@@ -333,35 +336,26 @@ def _moment_stage_solve(r, akk, dt, arrs, scale, max_newton=50):
     )
 
 
-def moment_dirk_solve(states, species, table, dt):
-    """One DIRK step of the moment system: (stage state sets, step-end states).
+def moment_step(states, species, table, dt):
+    """Step-end moment states of one DIRK step of the moment system.
 
     The step end is assembled from the stage derivatives, y + dt*sum b_k f_k,
     so linear invariants of the rhs are conserved to rounding independent of
-    the Newton tolerance.  Stage states are returned for diagnostics; operator
-    assembly downstream uses only the step end.
+    the Newton tolerance.
     """
     y0 = _pack(states)
     arrs = _species_arrays(states, species)
     scale = 1.0 + float(np.max(np.abs(y0)))
     fs = []
-    stage_states = []
     for k in range(table.stages):
         r = y0.copy()
         for l in range(k):
             r += dt * table.a[k, l] * fs[l]
-        yk, fk = _moment_stage_solve(r, float(table.a[k, k]), dt, arrs, scale)
-        fs.append(fk)
-        stage_states.append(_unpack(yk, states))
+        fs.append(_moment_stage_solve(r, float(table.a[k, k]), dt, arrs, scale))
     y1 = y0.copy()
     for k, fk in enumerate(fs):
         y1 += dt * table.b[k] * fk
-    return stage_states, _unpack(y1, states)
-
-
-def moment_step(states, species, table, dt):
-    """Step-end moment states of one DIRK step (stage sets discarded)."""
-    return moment_dirk_solve(states, species, table, dt)[1]
+    return _unpack(y1, states)
 
 
 def chang_cooper_delta(w):
@@ -480,7 +474,7 @@ def initialize_system(species, n_points, halfwidth=10.0):
     return LbfpSystem(list(species), grids, dvs, factors, states)
 
 
-def lbfp_step(system, table, dt, tol_constants, eps_rel=1e-8):
+def lbfp_step(system, table, dt, tol_constant, eps_rel=1e-8):
     """Advance the coupled system by one step of size dt.
 
     Order of operations: implicit moment update; pair coefficients frozen at
@@ -490,11 +484,9 @@ def lbfp_step(system, table, dt, tol_constants, eps_rel=1e-8):
 
     Returns (new_system, per-species StepDiagnostics list).
     """
-    if len(tol_constants) != table.stages:
-        raise DimensionMismatch("need one tolerance constant per stage")
     new_states = moment_step(system.states, system.species, table, dt)
     coeffs = collision_coefficients(new_states, system.species)
-    tols = [lte_tolerance(c, dt, table.order) for c in tol_constants]
+    tol = lte_tolerance(tol_constant, dt, table.order)
     new_factors = []
     diags = []
     for a, sp in enumerate(system.species):
@@ -509,7 +501,7 @@ def lbfp_step(system, table, dt, tol_constants, eps_rel=1e-8):
 
         try:
             f_next, d = dirk_step(
-                system.factors[a], table, dt, ops, tols, post_process=post
+                system.factors[a], table, dt, ops, tol, post_process=post
             )
         except SolveFailure as exc:
             exc.where["species"] = sp.name

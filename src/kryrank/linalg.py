@@ -8,9 +8,9 @@ Factorizations are built lazily and cached on the operator, which is treated
 as immutable after construction; ``scaled_shifted`` keeps its last result, so
 a stage operator rebuilt each step is factorized once.
 The dense Sylvester solve is Bartels-Stewart split into ``sylvester_schur`` (the
-O(n^3) Schur forms, shareable) and a per-right-hand-side back-solve; a side
-declared symmetric is diagonalized by ``eigh`` instead, and when both are the
-back-solve is one elementwise division.
+O(n^3) Schur forms, shareable) and a per-right-hand-side back-solve; a pair
+declared symmetric is diagonalized by ``eigh`` instead, and the back-solve is
+then one elementwise division.
 """
 
 import math
@@ -283,16 +283,16 @@ def reduced_svd(s):
     return u, sig, vt.T
 
 
-def sylvester_schur(a1, a2, symmetric=(False, False)):
+def sylvester_schur(a1, a2, symmetric=False):
     """Factor half of a Sylvester solve: (T1, Z1, T2, Z2) with A = Z T Z^T.
 
-    A side flagged in ``symmetric`` is diagonalized by ``eigh``, and its T is
-    the 1-D array of eigenvalues; any other side gets its real Schur form.
+    With ``symmetric`` both sides are diagonalized by ``eigh``, and each T is
+    the 1-D array of eigenvalues; otherwise both get their real Schur forms.
     """
     factors = []
     try:
-        for a, sym in zip((a1, a2), symmetric):
-            if sym:
+        for a in (a1, a2):
+            if symmetric:
                 w, z = np.linalg.eigh(a)
                 if not np.all(np.isfinite(w)):
                     raise ValueError("non-finite eigenvalues")
@@ -310,11 +310,10 @@ def solve_sylvester_dense(a1, a2, b, schur=None):
     ``schur`` is ``sylvester_schur(a1, a2, ...)``, computed here (both sides
     Schur) when not given; the back-solve then repeats scipy's
     ``solve_sylvester(a1, a2.T, b)`` step for step, so the result is bitwise
-    the same.  With two eigen-factors the back-solve is
+    the same.  With eigen-factors the back-solve is
     ``F / (w1[:, None] + w2[None, :])``, bitwise what ``dtrsyl`` gives on the
-    diagonal forms; a mixed pair hands ``diag(w)`` to ``dtrsyl``.  Raises
-    SpectralOverlap when the spectra of A1 and -A2^T (near-)intersect and the
-    back-solve degrades.
+    diagonal forms.  Raises SpectralOverlap when the spectra of A1 and -A2^T
+    (near-)intersect and the back-solve degrades.
     """
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
@@ -329,13 +328,11 @@ def solve_sylvester_dense(a1, a2, b, schur=None):
         )
     t1, z1, t2, z2 = sylvester_schur(a1, a2) if schur is None else schur
     f = np.dot(np.dot(z1.T, b), z2)
-    if t1.ndim == 1 and t2.ndim == 1:
+    if t1.ndim == 1:
         # a zero denominator becomes inf/nan here and fails the finite check
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             y = f / (t1[:, None] + t2[None, :])
     else:
-        t1 = np.diag(t1) if t1.ndim == 1 else t1
-        t2 = np.diag(t2) if t2.ndim == 1 else t2
         y, y_scale, info = scipy.linalg.lapack.dtrsyl(t1, t2, f, tranb="C")
         if info < 0:
             raise SpectralOverlap("Sylvester solve failed: illegal value in term %d" % -info)

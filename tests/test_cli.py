@@ -305,6 +305,16 @@ class TestComplexitySweep:
         assert label == "slope"
         float(slope)
 
+    def test_unreachable_tolerance_names_step_and_grid(self, tmp_path, capsys):
+        text = Path(sweep_cfg(tmp_path)).read_text()
+        text = text.replace("n: [16, 24]", "n: [16]")
+        cfg = write_cfg(tmp_path, text.replace("output:", "tolerances: 1e-25\noutput:"))
+        rc = main(["run", cfg])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "MaxIterationsExceeded" in err
+        assert re.search(r"\n  at step=0, t=0\.1, n=16, species=ion\n", err)
+
 
 class TestCompare:
     def test_writes_paired_errors(self, tmp_path, capsys):

@@ -5,11 +5,14 @@ every rejection claim checks both the exception type and the reported field
 path.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
-from kryrank.config import ExperimentConfig, load_config, validate_config
+from kryrank.config import KINDS, ExperimentConfig, load_config, validate_config
 from kryrank.errors import ConfigError
 
 
@@ -61,7 +64,7 @@ class TestDefaults:
         assert cfg.lambdas == (100.0, 400.0)
         assert cfg.dt is None
         assert cfg.eps_rel == 1e-10
-        assert cfg.tolerance_constants == (1e-3, 1e-3)
+        assert cfg.tolerance_constant == 1e-3
         assert cfg.lomac is True
         assert cfg.pipeline == "adaptive"
         assert cfg.diffusion == (0.5, 0.5)
@@ -75,7 +78,7 @@ class TestDefaults:
         assert cfg.eps_rel == 1e-8
         assert cfg.dt == 0.1
         assert cfg.lambdas == ()
-        assert cfg.tolerance_constants == (1.0,)
+        assert cfg.tolerance_constant == 1.0
         names = [sp.name for sp in cfg.species]
         assert names == ["ion", "electron"]
 
@@ -85,11 +88,10 @@ class TestDefaults:
 
     def test_tolerance_broadcast(self):
         cfg = validate_config(heat_doc(integrator="dirk3", tolerances=5e-4))
-        assert cfg.tolerance_constants == (5e-4, 5e-4, 5e-4)
+        assert cfg.tolerance_constant == 5e-4
 
     def test_explicit_tolerance_list(self):
-        cfg = validate_config(heat_doc(tolerances=[1e-2, 1e-4]))
-        assert cfg.tolerance_constants == (1e-2, 1e-4)
+        rejected(heat_doc(tolerances=[1e-2, 1e-4]), "tolerances")
 
     def test_species_block_parsed(self):
         doc = lbfp_doc(
@@ -148,8 +150,10 @@ class TestRejections:
         rejected({**lbfp_doc(), "time": {"t_final": -1.0, "dt": 0.1}}, "time.t_final")
 
     def test_tolerance_count_mismatch(self):
-        rejected(heat_doc(tolerances=[1e-3, 1e-3, 1e-3]), "tolerances")
-        rejected(heat_doc(tolerances=[-1.0, 1.0]), "tolerances[0]")
+        # one constant for every stage: no list is read, whatever its length
+        rejected(heat_doc(tolerances=[1e-3]), "tolerances")
+        rejected(heat_doc(integrator="dirk3", tolerances=[1e-3] * 3), "tolerances")
+        rejected(heat_doc(tolerances=-1.0), "tolerances")
 
     def test_truncation_and_flags(self):
         rejected(heat_doc(truncation={"eps_rel": -1e-9}), "truncation.eps_rel")
@@ -240,3 +244,10 @@ class TestOverridesAndLoading:
         path.write_text("kind: [unterminated\n")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    def test_readme_examples_validate(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```yaml\n(.*?)^```", readme, re.M | re.S)
+        kinds = {validate_config(yaml.safe_load(block)).kind for block in blocks}
+        # one documented example per experiment kind
+        assert kinds == set(KINDS)

@@ -193,7 +193,7 @@ class TestSemiDiscreteInvariants:
         tol = lte_tolerance(1.0, dt, 1)
         post = lambda g: truncate(g, 1e-10 * spectral_scale(g))
         for _ in range(10):
-            f, _diag = dirk_step(f, table, dt, (d, d), [tol], post_process=post)
+            f, _diag = dirk_step(f, table, dt, (d, d), tol, post_process=post)
         assert f.materialize().min() >= floor - 1e-8
 
     def test_lomac_run_decays_to_initial_mean(self):
@@ -212,7 +212,7 @@ class TestSemiDiscreteInvariants:
 
         errs = []
         for step in range(24):
-            f, _diag = dirk_step(f, table, dt, (d, d), [tol], post_process=post)
+            f, _diag = dirk_step(f, table, dt, (d, d), tol, post_process=post)
             errs.append(np.abs(f.materialize() - mean).sum() * dx * dx)
         # transient decays monotonically and lands at the truncation floor
         assert errs[-1] <= 1e-8

@@ -40,7 +40,6 @@ from kryrank.lbfp import (
     lbfp_step,
     lomac_project,
     maxwellian_factors,
-    moment_dirk_solve,
     moment_rhs,
     moment_step,
     total_invariants,
@@ -488,12 +487,10 @@ class TestMomentDirk:
         species = [SpeciesConfig("a", 1.0, 1.0), SpeciesConfig("b", 4.0, 1.0)]
         states = [state_at(1.0, u, 1.4, 1.0), state_at(1.0, u, 1.4, 4.0)]
         for name in ("be", "dirk2", "dirk3"):
-            stages, end = moment_dirk_solve(states, species, get_table(name), 0.2)
-            assert len(stages) == get_table(name).stages
-            for group in list(stages) + [end]:
-                for st0, st1 in zip(states, group):
-                    for a, b in zip(st0.as_vector(), st1.as_vector()):
-                        assert abs(a - b) <= 1e-13 * (1.0 + abs(a))
+            end = moment_step(states, species, get_table(name), 0.2)
+            for st0, st1 in zip(states, end):
+                for a, b in zip(st0.as_vector(), st1.as_vector()):
+                    assert abs(a - b) <= 1e-13 * (1.0 + abs(a))
 
     def test_backward_euler_richardson(self):
         # one BE step differs from explicit Euler by O(dt^2)
@@ -832,7 +829,7 @@ class TestLbfpStep:
         start = [f.materialize() for f in system.factors]
         cur = system
         for _ in range(10):
-            cur, _diags = lbfp_step(cur, get_table("dirk2"), 0.1, (1e-3, 1e-3))
+            cur, _diags = lbfp_step(cur, get_table("dirk2"), 0.1, 1e-3)
         for a in range(2):
             drift = np.linalg.norm(cur.factors[a].materialize() - start[a])
             assert drift <= 1e-11 * np.linalg.norm(start[a])
@@ -841,7 +838,7 @@ class TestLbfpStep:
 
     def test_species_mass_pinned(self):
         system = initialize_system(benchmark_species(), 64)
-        cur, _diags = lbfp_step(system, get_table("dirk2"), 0.1, (1e-3, 1e-3))
+        cur, _diags = lbfp_step(system, get_table("dirk2"), 0.1, 1e-3)
         for a in range(2):
             n, _, _, _ = lr_moments(
                 cur.factors[a], cur.grids[a], cur.grids[a], cur.dvs[a]
@@ -870,7 +867,7 @@ class TestLbfpStep:
         )
         cur = system
         for _ in range(20):
-            cur, _diags = lbfp_step(cur, get_table("dirk2"), 0.1, (1e-3, 1e-3))
+            cur, _diags = lbfp_step(cur, get_table("dirk2"), 0.1, 1e-3)
         drift = np.abs(kinetic_totals(cur) - k0)
         assert drift[0] <= 1e-11 * pscale
         assert drift[1] <= 1e-11 * pscale
@@ -880,7 +877,7 @@ class TestLbfpStep:
         system = initialize_system(benchmark_species(), 64)
         cur = system
         for _ in range(3):
-            cur, _diags = lbfp_step(cur, get_table("be"), 0.1, (1.0,))
+            cur, _diags = lbfp_step(cur, get_table("be"), 0.1, 1.0)
         for a in range(2):
             got = np.array(
                 lr_moments(cur.factors[a], cur.grids[a], cur.grids[a], cur.dvs[a])
@@ -892,7 +889,7 @@ class TestLbfpStep:
 
     def test_diagnostics_shape(self):
         system = initialize_system(benchmark_species(), 48)
-        cur, diags = lbfp_step(system, get_table("dirk2"), 0.1, (1e-3, 1e-3))
+        cur, diags = lbfp_step(system, get_table("dirk2"), 0.1, 1e-3)
         assert len(diags) == 2
         for d in diags:
             assert isinstance(d, StepDiagnostics)
@@ -900,8 +897,3 @@ class TestLbfpStep:
             assert d.krylov_iterations >= 0
             assert d.late_stage_restarts <= 2
         assert abs(cur.time - 0.1) <= 1e-15
-
-    def test_tolerance_count_validated(self):
-        system = initialize_system(benchmark_species(), 48)
-        with pytest.raises(DimensionMismatch):
-            lbfp_step(system, get_table("dirk2"), 0.1, (1e-3,))

@@ -366,7 +366,7 @@ class TestSolveSylvesterDense:
                 g2 = rng.standard_normal((k, k))
                 a1 = g1 @ g1.T + 0.1 * np.eye(m)
                 a2 = g2 @ g2.T + 0.1 * np.eye(k)
-                fac = sylvester_schur(a1, a2, symmetric=(True, True))
+                fac = sylvester_schur(a1, a2, symmetric=True)
                 assert fac[0].shape == (m,) and fac[2].shape == (k,)
                 b = rng.standard_normal((m, k))
                 want = scipy.linalg.solve_sylvester(a1, a2.T, b)
@@ -387,22 +387,9 @@ class TestSolveSylvesterDense:
             assert np.array_equal(got, y), (m, k)
             assert np.array_equal(f / (w1[:, None] + w2[None, :]), y), (m, k)
 
-    def test_mixed_symmetric_pair(self):
-        rng = np.random.default_rng(46)
-        g = rng.standard_normal((9, 9))
-        spd = g @ g.T + np.eye(9)
-        general = rng.standard_normal((6, 6)) + 12.0 * np.eye(6)
-        for a1, a2, sym in ((spd, general, (True, False)), (general, spd, (False, True))):
-            b = rng.standard_normal((a1.shape[0], a2.shape[0]))
-            fac = sylvester_schur(a1, a2, symmetric=sym)
-            assert [fac[0].ndim, fac[2].ndim] == [1 if s else 2 for s in sym]
-            want = kron_sylvester_oracle(a1, a2, b)
-            got = solve_sylvester_dense(a1, a2, b, fac)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
     def test_non_finite_symmetric_operator_is_spectral_overlap(self):
         with pytest.raises(SpectralOverlap):
-            sylvester_schur(np.array([[np.nan]]), np.eye(1), symmetric=(True, True))
+            sylvester_schur(np.array([[np.nan]]), np.eye(1), symmetric=True)
 
     def test_symmetric_spectral_overlap_raises_without_warning(self):
         a1 = np.array([[1.0]])
@@ -410,7 +397,7 @@ class TestSolveSylvesterDense:
         b = np.array([[1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for sym in ((True, True), (True, False), (False, True)):
+            for sym in (True, False):
                 with pytest.raises(SpectralOverlap):
                     solve_sylvester_dense(a1, a2, b, sylvester_schur(a1, a2, symmetric=sym))
             with pytest.raises(SpectralOverlap):

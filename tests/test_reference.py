@@ -222,7 +222,7 @@ class TestDenseLbfpStep:
             system.states, dense_fs, system.species, system.grids, system.dvs,
             table, 0.1,
         )
-        low, _ = lbfp_step(system, table, 0.1, (1e-3, 1e-3))
+        low, _ = lbfp_step(system, table, 0.1, 1e-3)
         for a in range(2):
             cell = system.dvs[a] ** 2
             assert l1_distance(low.factors[a], new_fs[a], cell) <= 1e-4
