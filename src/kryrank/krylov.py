@@ -43,7 +43,11 @@ def seed_basis(u0, orthonormal=False):
     q, _ = mgs_qr(u0, ortho_prefix=u0.shape[1] if orthonormal else 0)
     if q.shape[1] == 0:
         raise DimensionMismatch("seed block is numerically zero")
-    return ExtendedKrylovBasis(q, q.copy(), q.copy())
+    # growth only reads the staging blocks, so they share q.  q itself is a
+    # copy even of an orthonormal seed: were it u0's buffer, the projected
+    # right-hand side Q^T u0 would take numpy's symmetric-product path and
+    # round differently
+    return ExtendedKrylovBasis(q, q, q)
 
 
 def grow_basis(basis, op):

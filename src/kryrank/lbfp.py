@@ -426,26 +426,20 @@ _MOMENT_MODES[2, 0, 1] = 1.0
 _MOMENT_MODES[3, 2, 0] = _MOMENT_MODES[3, 0, 2] = 1.0
 
 
-def lomac_project(f, target, mass, grid1, grid2, dv, eps):
+def lomac_project(f, target, mass, grid, dv, eps):
     """Truncate ``f`` to tolerance ``eps`` while pinning its moments to ``target``.
 
-    The four-moment case of ``conservative_truncate``: the moment-carrying
-    part is represented in a Maxwellian-weighted polynomial range
-    {w w, v1 w w, w v2 w, (v1^2 + v2^2) w w} paired with the plain moment
-    functionals (1, v1, v2, |v|^2), pinned to ``target.as_vector()``.
+    The four-moment case of ``conservative_truncate`` on a square velocity
+    grid: the moment-carrying part is represented in a Maxwellian-weighted
+    polynomial range {w w, v1 w w, w v2 w, (v1^2 + v2^2) w w} paired with the
+    plain moment functionals (1, v1, v2, |v|^2), pinned to
+    ``target.as_vector()``.
     """
     vth2 = target.temperature(mass) / mass
-    w1 = np.exp(-(grid1**2) / (2.0 * vth2))
-    w2 = np.exp(-(grid2**2) / (2.0 * vth2))
+    weighted = _power_rows(grid, np.exp(-(grid**2) / (2.0 * vth2))).T
+    rows = _power_rows(grid, dv)
     return conservative_truncate(
-        f,
-        _power_rows(grid1, w1).T,
-        _power_rows(grid2, w2).T,
-        _power_rows(grid1, dv),
-        _power_rows(grid2, dv),
-        _MOMENT_MODES,
-        target.as_vector(),
-        eps,
+        f, weighted, weighted, rows, rows, _MOMENT_MODES, target.as_vector(), eps
     )
 
 
@@ -495,9 +489,7 @@ def lbfp_step(system, table, dt, tol_constant, eps_rel=1e-8):
         target = new_states[a]
 
         def post(raw, _t=target, _m=sp.mass, _g=grid, _dv=dv):
-            return lomac_project(
-                raw, _t, _m, _g, _g, _dv, eps_rel * spectral_scale(raw)
-            )
+            return lomac_project(raw, _t, _m, _g, _dv, eps_rel * spectral_scale(raw))
 
         try:
             f_next, d = dirk_step(

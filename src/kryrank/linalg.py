@@ -10,13 +10,13 @@ a stage operator rebuilt each step is factorized once.
 The dense Sylvester solve is Bartels-Stewart split into ``sylvester_schur`` (the
 O(n^3) Schur forms, shareable) and a per-right-hand-side back-solve; a pair
 declared symmetric is diagonalized by ``eigh`` instead, and the back-solve is
-then one elementwise division.
+then one elementwise division.  scipy is imported only by the non-symmetric
+branches, at their first call, so symmetric (heat) runs load numpy alone.
 """
 
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
@@ -298,6 +298,8 @@ def sylvester_schur(a1, a2, symmetric=False):
                     raise ValueError("non-finite eigenvalues")
                 factors += [w, z]
             else:
+                import scipy.linalg
+
                 factors += scipy.linalg.schur(a, output="real")
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise SpectralOverlap("Sylvester solve failed: %s" % exc) from exc
@@ -333,6 +335,8 @@ def solve_sylvester_dense(a1, a2, b, schur=None):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             y = f / (t1[:, None] + t2[None, :])
     else:
+        import scipy.linalg
+
         y, y_scale, info = scipy.linalg.lapack.dtrsyl(t1, t2, f, tranb="C")
         if info < 0:
             raise SpectralOverlap("Sylvester solve failed: illegal value in term %d" % -info)

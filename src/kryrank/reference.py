@@ -6,7 +6,6 @@ approximation itself.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .lbfp import build_lbfp_operators, collision_coefficients, moment_step
 from .linalg import solve_sylvester_dense, sylvester_schur
@@ -18,6 +17,8 @@ def propagator(d_op, t):
     if np.max(np.abs(dense - dense.T)) <= 1e-12 * max(1.0, np.max(np.abs(dense))):
         lam, q = np.linalg.eigh(dense)
         return (q * np.exp(t * lam)) @ q.T
+    import scipy.linalg
+
     return scipy.linalg.expm(t * dense)
 
 

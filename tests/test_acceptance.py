@@ -410,7 +410,7 @@ def _property_moment_matching(rng):
         target = MomentState(
             n, n * u[0], n * u[1], 0.5 * n * (u[0] ** 2 + u[1] ** 2) + n * t
         )
-        out = lomac_project(f, target, 1.0, grid, grid, dv, 1e-8 * spectral_scale(f))
+        out = lomac_project(f, target, 1.0, grid, dv, 1e-8 * spectral_scale(f))
         got = kinetic_moments(out, grid, grid, dv)
         mscale = target.n * math.sqrt(target.temperature(1.0))
         gaps = (

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import kryrank
+from kryrank import experiments
 from kryrank.cli import _failure_details, main
 from kryrank.config import load_config
 from kryrank.errors import MaxIterationsExceeded, NewtonDivergence
@@ -63,6 +64,19 @@ def sweep_cfg(tmp_path, out="out_s"):
         "output: %s\n" % (tmp_path / out)
     )
     return write_cfg(tmp_path, body)
+
+
+def run_child(*args):
+    """Run a fresh interpreter on ``args``; it imports the same kryrank as this one."""
+    src = str(Path(kryrank.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
 
 
 def read_csv(path):
@@ -315,6 +329,40 @@ class TestComplexitySweep:
         assert "MaxIterationsExceeded" in err
         assert re.search(r"\n  at step=0, t=0\.1, n=16, species=ion\n", err)
 
+    def test_dense_failure_names_step_and_grid(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args):
+            raise NewtonDivergence("stage Newton missed tolerance", [2.0, 0.25])
+
+        monkeypatch.setattr(experiments, "dense_lbfp_step", diverge)
+        text = Path(sweep_cfg(tmp_path)).read_text()
+        cfg = write_cfg(tmp_path, text.replace("output:", "pipeline: dense\noutput:"))
+        rc = main(["run", cfg])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "NewtonDivergence" in err
+        assert re.search(r"\n  at step=0, t=0\.1, n=16\n", err)
+
+    def test_scipy_is_imported_before_the_first_clock(self, tmp_path):
+        # kryrank imports scipy at the first non-symmetric Schur form; a sweep
+        # must not time that import inside its first step
+        text = Path(sweep_cfg(tmp_path)).read_text()
+        cfg = write_cfg(tmp_path, text.replace("n: [16, 24]", "n: [16, 32]"))
+        proc = run_child(
+            "-c",
+            "import sys, types\n"
+            "from kryrank import cli, experiments\n"
+            "clock, seen = experiments.time.perf_counter, []\n"
+            "def timed():\n"
+            "    seen.append('scipy.linalg' in sys.modules)\n"
+            "    return clock()\n"
+            "experiments.time = types.SimpleNamespace(perf_counter=timed)\n"
+            "assert cli.main(['run', %r]) == 0\n"
+            "print(seen)\n" % cfg
+        )
+        assert proc.returncode == 0, proc.stderr
+        # a start and a stop per grid size
+        assert proc.stdout.splitlines()[-1] == str([True] * 4)
+
 
 class TestCompare:
     def test_writes_paired_errors(self, tmp_path, capsys):
@@ -340,14 +388,29 @@ class TestCompare:
 
 class TestConsoleScript:
     def test_installed_entry_point_validates(self, tmp_path):
-        # the child imports the same kryrank as this process, installed or not
-        src = str(Path(kryrank.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "kryrank.cli", "validate", heat_cfg(tmp_path)],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
+        proc = run_child("-m", "kryrank.cli", "validate", heat_cfg(tmp_path))
         assert proc.returncode == 0
         assert "self-check sylvester-residual: ok" in proc.stdout
+
+
+class TestImportWeight:
+    """scipy loads at the first non-symmetric factorization, not with kryrank."""
+
+    RUN = "from kryrank.cli import main; assert main(['run', {config!r}]) == 0"
+
+    @pytest.mark.parametrize(
+        "command, make_config, loads_scipy",
+        [
+            ("import kryrank", None, False),
+            ("import kryrank.cli", None, False),
+            (RUN, heat_cfg, False),
+            # Chang-Cooper stages are non-symmetric, so this one must load it
+            (RUN, lbfp_cfg, True),
+        ],
+        ids=["import", "import-cli", "heat-run", "lbfp-run"],
+    )
+    def test_scipy_in_sys_modules(self, tmp_path, command, make_config, loads_scipy):
+        code = command.format(config=make_config and make_config(tmp_path))
+        proc = run_child("-c", "import sys\n%s\nprint('scipy' in sys.modules)\n" % code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(loads_scipy)

@@ -708,7 +708,7 @@ class TestLomacProject:
                 1.0,
             )
             out = lomac_project(
-                f, target, 1.0, grid, grid, dv, 1e-8 * spectral_scale(f)
+                f, target, 1.0, grid, dv, 1e-8 * spectral_scale(f)
             )
             got = dense_moments(out.materialize(), grid, grid, dv)
             want = target.as_vector() * np.array([1.0, 1.0, 1.0, 0.5])
@@ -728,7 +728,7 @@ class TestLomacProject:
             0.0,
         )
         target = kinetic_moments(f, grid, grid, dv)
-        out = lomac_project(f, target, 1.0, grid, grid, dv, 0.0)
+        out = lomac_project(f, target, 1.0, grid, dv, 0.0)
         diff = np.linalg.norm(out.materialize() - f.materialize())
         assert diff <= 1e-12 * np.linalg.norm(f.materialize())
 
@@ -746,7 +746,7 @@ class TestLomacProject:
         pert = LowRankFactors(h[:, None] * 1e-4, np.array([[1.0]]), h[:, None])
         fp = truncate(lr_add(f, pert), 0.0)
         out = lomac_project(
-            fp, target, 1.0, grid, grid, dv, 1e-14 * spectral_scale(fp)
+            fp, target, 1.0, grid, dv, 1e-14 * spectral_scale(fp)
         )
         got = dense_moments(out.materialize(), grid, grid, dv)
         want = np.array([target.n, target.gam1, target.gam2, target.energy])
@@ -769,8 +769,8 @@ class TestLomacProject:
         )
         target = state_at(1.2, (0.1, -0.2), 1.1, 1.0)
         eps = 1e-8 * spectral_scale(f)
-        once = lomac_project(f, target, 1.0, grid, grid, dv, eps)
-        twice = lomac_project(once, target, 1.0, grid, grid, dv, eps)
+        once = lomac_project(f, target, 1.0, grid, dv, eps)
+        twice = lomac_project(once, target, 1.0, grid, dv, eps)
         diff = np.linalg.norm(twice.materialize() - once.materialize())
         assert diff <= 1e-12 * np.linalg.norm(once.materialize())
 
@@ -782,7 +782,7 @@ class TestLomacProject:
         f = LowRankFactors(u, np.diag([1.0, 0.5, 0.1, 1e-3, 1e-5, 1e-7]), v,
                            orthonormal=True)
         target = state_at(1.0, (0.2, 0.1), 1.3, 1.0)
-        out = lomac_project(f, target, 1.0, grid, grid, dv, 1e-4)
+        out = lomac_project(f, target, 1.0, grid, dv, 1e-4)
         assert out.orthonormal
         assert np.abs(out.u.T @ out.u - np.eye(out.rank)).max() <= 1e-12
         assert np.abs(out.v.T @ out.v - np.eye(out.rank)).max() <= 1e-12
@@ -801,7 +801,7 @@ class TestLomacProject:
         target = kinetic_moments(f, grid, grid, dv)
         for _ in range(4):
             out = lomac_project(
-                f, target, 1.0, grid, grid, dv, 1e-8 * spectral_scale(f)
+                f, target, 1.0, grid, dv, 1e-8 * spectral_scale(f)
             )
             got = dense_moments(out.materialize(), grid, grid, dv)
             assert abs(got[0] - target.n) <= 1e-12 * target.n
