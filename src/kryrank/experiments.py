@@ -2,10 +2,11 @@
 
 All CSVs are comma-separated with '.' decimals and LF line endings, floats in
 %.12e, a header line first and a trailing metadata comment line.  The bytes
-are identical across runs at the same seed; timing.csv is the exception since
-wall clocks are not reproducible.
+are identical across runs at the same seed and BLAS thread count; timing.csv
+is the exception since wall clocks are not reproducible.
 """
 
+import functools
 import math
 import statistics
 import time
@@ -28,16 +29,15 @@ from .lowrank import spectral_scale, truncate
 from .reference import dense_dirk_step, dense_lbfp_step, heat_reference, l1_distance
 
 
+@functools.cache
 def _build_tag():
+    """Version tag of the CSV footer, looked up at the first CSV write."""
     try:
         from importlib.metadata import version
 
         return "kryrank-" + version("kryrank")
     except Exception:
         return "kryrank-dev"
-
-
-_BUILD = _build_tag()
 
 
 def _fmt(value):
@@ -54,7 +54,7 @@ def write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-        fh.write("# schema_version=1,build=%s\n" % _BUILD)
+        fh.write("# schema_version=1,build=%s\n" % _build_tag())
 
 
 def _residual_cell(residuals):
@@ -337,9 +337,12 @@ def run_compare(cfg, out_dir):
         res = _heat_point(cfg, lam, table)
         fd = res["initial"].materialize()
         d1m, d2m = (d.dense() for d in res["operators"])
+        symmetric = all(d.symmetric for d in res["operators"])
         stage_cache = {}  # d1m, d2m and dt are fixed: factor each a_kk once
         for _ in range(res["steps"]):
-            fd = dense_dirk_step(fd, table, res["dt"], d1m, d2m, stage_cache)
+            fd = dense_dirk_step(
+                fd, table, res["dt"], d1m, d2m, stage_cache, symmetric=symmetric
+            )
         err_dense = float(np.abs(fd - res["reference"]).sum()) * dx * dx
         return res["lambda"], res["dt"], res["error"], err_dense
 

@@ -288,7 +288,14 @@ def sylvester_schur(a1, a2, symmetric=False):
 
     With ``symmetric`` both sides are diagonalized by ``eigh``, and each T is
     the 1-D array of eigenvalues; otherwise both get their real Schur forms.
+    ``eigh`` reads one triangle only, so with ``symmetric`` a matrix that is
+    not exactly symmetric raises DimensionMismatch rather than being solved
+    as the symmetric matrix its triangle describes.
     """
+    if symmetric:
+        for a in (a1, a2):
+            if not np.array_equal(a, np.transpose(a), equal_nan=True):
+                raise DimensionMismatch("symmetric factorization of a non-symmetric matrix")
     factors = []
     try:
         for a in (a1, a2):

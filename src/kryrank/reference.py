@@ -12,9 +12,14 @@ from .linalg import solve_sylvester_dense, sylvester_schur
 
 
 def propagator(d_op, t):
-    """Dense e^{tD}; eigendecomposition when D is symmetric, expm otherwise."""
+    """Dense e^{tD}; eigendecomposition when D is symmetric, expm otherwise.
+
+    The branch follows ``d_op.symmetric``, which is exact: an operator whose
+    asymmetry is merely small still goes to ``expm``, since ``eigh`` would
+    read one triangle and drop it.
+    """
     dense = d_op.dense()
-    if np.max(np.abs(dense - dense.T)) <= 1e-12 * max(1.0, np.max(np.abs(dense))):
+    if d_op.symmetric:
         lam, q = np.linalg.eigh(dense)
         return (q * np.exp(t * lam)) @ q.T
     import scipy.linalg
@@ -27,13 +32,17 @@ def heat_reference(f0, d1_op, d2_op, t):
     return propagator(d1_op, t) @ f0 @ propagator(d2_op, t).T
 
 
-def dense_dirk_step(f, table, dt, d1, d2, cache=None):
+def dense_dirk_step(f, table, dt, d1, d2, cache=None, symmetric=False):
     """Full-rank DIRK step on a dense state, mirroring the low-rank stage recursion.
 
-    ``cache`` maps a_kk to the stage matrices I/2 - dt*a_kk*D and their Schur
-    forms, so stages with equal a_kk share one factorization.  A caller that
+    ``cache`` maps a_kk to the stage matrices I/2 - dt*a_kk*D and their
+    factors, so stages with equal a_kk share one factorization.  A caller that
     keeps d1, d2 and dt fixed may pass one dict to every step to factor each
     stage operator once per run; by default it lives for this step only.
+    With ``symmetric`` both stage matrices are diagonalized by ``eigh`` and
+    each stage back-solves by one elementwise division; a stage matrix that
+    is not exactly symmetric then raises DimensionMismatch.  Otherwise they
+    get real Schur forms and the ``dtrsyl`` back-solve.
     """
     cache = {} if cache is None else cache
     incs = []
@@ -46,7 +55,7 @@ def dense_dirk_step(f, table, dt, d1, d2, cache=None):
         if akk not in cache:
             a1 = 0.5 * np.eye(f.shape[0]) - dt * akk * d1
             a2 = 0.5 * np.eye(f.shape[1]) - dt * akk * d2
-            cache[akk] = (a1, a2, sylvester_schur(a1, a2))
+            cache[akk] = (a1, a2, sylvester_schur(a1, a2, symmetric))
         a1, a2, schur = cache[akk]
         fk = solve_sylvester_dense(a1, a2, b, schur)
         incs.append((fk - b) / akk)

@@ -397,6 +397,7 @@ class TestImportWeight:
     """scipy loads at the first non-symmetric factorization, not with kryrank."""
 
     RUN = "from kryrank.cli import main; assert main(['run', {config!r}]) == 0"
+    COMPARE = "from kryrank.cli import main; assert main(['compare', {config!r}]) == 0"
 
     @pytest.mark.parametrize(
         "command, make_config, loads_scipy",
@@ -404,13 +405,22 @@ class TestImportWeight:
             ("import kryrank", None, False),
             ("import kryrank.cli", None, False),
             (RUN, heat_cfg, False),
+            # the dense reference diagonalizes the symmetric heat stages too
+            (COMPARE, heat_cfg, False),
             # Chang-Cooper stages are non-symmetric, so this one must load it
             (RUN, lbfp_cfg, True),
         ],
-        ids=["import", "import-cli", "heat-run", "lbfp-run"],
+        ids=["import", "import-cli", "heat-run", "heat-compare", "lbfp-run"],
     )
     def test_scipy_in_sys_modules(self, tmp_path, command, make_config, loads_scipy):
         code = command.format(config=make_config and make_config(tmp_path))
         proc = run_child("-c", "import sys\n%s\nprint('scipy' in sys.modules)\n" % code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(loads_scipy)
+
+    def test_cli_import_skips_package_metadata(self):
+        # the CSV footer's version tag is looked up at the first CSV write
+        code = "import sys\nimport kryrank.cli\nprint('importlib.metadata' in sys.modules)\n"
+        proc = run_child("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"

@@ -13,6 +13,7 @@ import pytest
 import scipy.linalg
 
 from kryrank.dirk import get_table
+from kryrank.errors import DimensionMismatch
 from kryrank.heat import build_heat_operator, heat_grid
 from kryrank.lbfp import (
     benchmark_species,
@@ -22,6 +23,7 @@ from kryrank.lbfp import (
     lbfp_step,
     moment_step,
 )
+from kryrank.linalg import TridiagonalOperator
 from kryrank.lowrank import LowRankFactors
 from kryrank.reference import (
     dense_dirk_step,
@@ -85,6 +87,20 @@ class TestPropagator:
         got = propagator(d, 0.01)
         want = scipy.linalg.expm(0.01 * d.dense())
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_near_symmetric_operator_is_bitwise_expm(self):
+        # asymmetry far below any tolerance test still goes to expm: eigh
+        # would read one triangle and drop it
+        d = build_heat_operator(24, 0.5, 1.0 / 24)
+        op = TridiagonalOperator(
+            d.diag, d.lower * (1.0 + 1e-14), d.upper,
+            corner_upper=d.corner_upper, corner_lower=d.corner_lower,
+        )
+        assert not op.symmetric
+        dense = op.dense()
+        assert 0.0 < np.abs(dense - dense.T).max() <= 1e-13 * np.abs(dense).max()
+        got = propagator(op, 0.01)
+        assert np.array_equal(got, scipy.linalg.expm(0.01 * dense))
 
     def test_nonsymmetric_semigroup(self):
         op = lbfp_operator(48)
@@ -158,6 +174,44 @@ class TestDenseDirkStep:
                     incs.append((want - b) / akk)
             assert np.array_equal(got, want), name
             assert len(cache) == len(set(np.diag(table.a)))
+
+    def test_symmetric_matches_kronecker_recursion(self):
+        rng = np.random.default_rng(74)
+        n = 20
+        d1 = build_heat_operator(n, 0.5, 1.0 / n).dense()
+        d2 = build_heat_operator(n, 0.2, 1.0 / n).dense()
+        f0 = rng.standard_normal((n, n))
+        for name in ("be", "dirk2", "dirk3"):
+            table = get_table(name)
+            got = dense_dirk_step(f0, table, 0.01, d1, d2, symmetric=True)
+            want = kron_stage_recursion(f0, table, 0.01, d1, d2)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
+
+    def test_symmetric_shared_cache_is_bitwise_uncached(self):
+        rng = np.random.default_rng(75)
+        n = 16
+        d1 = build_heat_operator(n, 0.5, 1.0 / n).dense()
+        d2 = build_heat_operator(n, 0.2, 1.0 / n).dense()
+        f0 = rng.standard_normal((n, n))
+        for name in ("be", "dirk2", "dirk3"):
+            table = get_table(name)
+            cache = {}
+            got = f0
+            want = f0
+            for _ in range(4):
+                got = dense_dirk_step(got, table, 0.01, d1, d2, cache, symmetric=True)
+                want = dense_dirk_step(want, table, 0.01, d1, d2, symmetric=True)
+            assert np.array_equal(got, want), name
+            assert len(cache) == len(set(np.diag(table.a)))
+            # eigen factors: 1-D eigenvalue arrays, not Schur matrices
+            assert all(entry[2][0].ndim == 1 for entry in cache.values())
+
+    def test_symmetric_flag_rejects_nonsymmetric_operator(self):
+        d = lbfp_operator(16).dense()
+        f0 = np.ones((16, 16))
+        for name in ("be", "dirk2"):
+            with pytest.raises(DimensionMismatch):
+                dense_dirk_step(f0, get_table(name), 0.01, d, d, symmetric=True)
 
     def test_backward_euler_mode_amplification(self):
         n = 32
