@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config
+from .dirk import assemble_stage_operator
 from .errors import (
     ConfigError,
     KryrankError,
     MaxIterationsExceeded,
+    SingularOperator,
     SolveFailure,
 )
 from .experiments import (
@@ -105,6 +107,23 @@ def _self_check(seed):
     scale = float(np.max(np.abs(d.dense())))
     results.append(
         ("constant-null-mode", drift <= 1e-12 * scale, "max drift %.2e" % drift)
+    )
+
+    # heat's stage operators take the DFT path; its generator is singular
+    stage = assemble_stage_operator(d, 1e-3, 0.5)
+    x = rng.standard_normal((64, 3))
+    err = float(np.max(np.abs(stage.solve(stage.apply(x)) - x)) / np.max(np.abs(x)))
+    try:
+        d.solve(np.ones(64))
+        singular = False
+    except SingularOperator:
+        singular = True
+    results.append(
+        (
+            "circulant-solve",
+            stage.circulant and err <= 1e-12 and singular,
+            "round trip %.2e, generator %s" % (err, "singular" if singular else "solved"),
+        )
     )
     return results
 

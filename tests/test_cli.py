@@ -97,11 +97,16 @@ class TestValidate:
         assert "time.lambda = 50, 100" in out
         assert "seed = 0" in out
 
-    def test_runs_all_three_self_checks(self, tmp_path, capsys):
+    def test_runs_all_four_self_checks(self, tmp_path, capsys):
         rc = main(["validate", heat_cfg(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
-        for name in ("sylvester-residual", "flux-weight-identity", "constant-null-mode"):
+        for name in (
+            "sylvester-residual",
+            "flux-weight-identity",
+            "constant-null-mode",
+            "circulant-solve",
+        ):
             line = [l for l in out.splitlines() if l.startswith("self-check " + name)]
             assert len(line) == 1
             assert ": ok" in line[0]

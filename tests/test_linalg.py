@@ -1,4 +1,4 @@
-"""Dense/banded kernel tests: Thomas solves, MGS QR, reduced SVD, Sylvester.
+"""Dense/banded kernel tests: Thomas and DFT solves, MGS QR, reduced SVD, Sylvester.
 
 Derived expectations are checked against independent oracles built from plain
 dense numpy factorizations (LU solve, Kronecker-sum vectorization, eigen
@@ -49,6 +49,33 @@ def random_dd_tridiag(rng, n, corners=False):
     return TridiagonalOperator(diag, lower, upper, corner_upper=cu, corner_lower=cl)
 
 
+def random_circulant(rng, n, symmetric):
+    """Diagonally dominant circulant tridiagonal: constant bands wrapped by the corners."""
+    lo = rng.uniform(-1.0, 1.0)
+    up = lo if symmetric else rng.uniform(-1.0, 1.0)
+    return TridiagonalOperator(
+        np.full(n, 3.0 + rng.uniform(0.0, 1.0)),
+        np.full(n - 1, lo),
+        np.full(n - 1, up),
+        corner_upper=lo,
+        corner_lower=up,
+    )
+
+
+def variable_periodic_laplacian(rng, n):
+    """A[i, j] = L[i, j] * kappa_j for the periodic Laplacian L: zero column sums."""
+    kappa = rng.uniform(0.5, 1.5, n) * n * n
+    return TridiagonalOperator(
+        -2.0 * kappa, kappa[:-1], kappa[1:], corner_upper=kappa[-1], corner_lower=kappa[0]
+    )
+
+
+def as_layout(rng, n, k, layout):
+    if layout == "1-D":
+        return rng.standard_normal(n)
+    return np.asarray(rng.standard_normal((n, k)), order=layout)
+
+
 def indexed_thomas_solve(op, b):
     """The Thomas recurrence indexed row by row, plus the rank-2 corner correction.
 
@@ -86,6 +113,15 @@ def indexed_thomas_solve(op, b):
 # n in [2, 64], 1 to 8 columns, with or without corners, rhs layout, seed
 thomas_cases = st.tuples(
     st.integers(2, 64),
+    st.integers(1, 8),
+    st.booleans(),
+    st.sampled_from(["1-D", "C", "F"]),
+    st.integers(0, 2**32 - 1),
+)
+
+# n in [3, 64] or 512, 1 to 8 columns, symmetric or not, rhs layout, seed
+circulant_cases = st.tuples(
+    st.one_of(st.integers(3, 64), st.just(512)),
     st.integers(1, 8),
     st.booleans(),
     st.sampled_from(["1-D", "C", "F"]),
@@ -198,6 +234,72 @@ class TestTridiagonalOperator:
         op = TridiagonalOperator(np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0]))
         with pytest.raises(SingularOperator):
             op.solve(np.ones((2, 1)))
+
+    def test_circulant_flag(self):
+        heat = build_heat_operator(16, 0.5, 1.0 / 16)
+        assert heat.circulant
+        assert heat.scaled_shifted(0.5, -0.01).circulant
+        assert assemble_stage_operator(heat, 0.01, 0.3).circulant
+        rng = np.random.default_rng(12)
+        skew = random_circulant(rng, 9, symmetric=False)
+        assert skew.circulant and not skew.symmetric
+        with pytest.raises(AttributeError):
+            heat.circulant = False
+
+        grid, dv = velocity_grid(32, 5.0)
+        pair = PairCoefficients(nu=0.8, u1=0.2, u2=-0.1, diffusion=1.5)
+        for op in build_lbfp_operators(grid, dv, [pair]):
+            assert not op.circulant
+        for _ in range(4):
+            assert not random_dd_tridiag(rng, 16, corners=True).circulant
+        nudged = heat.diag.copy()
+        nudged[5] = np.nextafter(nudged[5], 0.0)
+        assert not TridiagonalOperator(
+            nudged, heat.lower, heat.upper, heat.corner_upper, heat.corner_lower
+        ).circulant
+        assert not TridiagonalOperator(np.full(8, -2.0), np.ones(7), np.ones(7)).circulant
+        # the identity keeps Thomas, so its solve stays exact
+        assert not TridiagonalOperator(np.ones(6), np.zeros(5), np.zeros(5)).circulant
+        # n = 2: the corners overlap the off-diagonals
+        assert not TridiagonalOperator(np.ones(2), [0.1], [0.1], 0.1, 0.1).circulant
+
+    def test_circulant_solves_match_dense_oracle(self):
+        rng = np.random.default_rng(13)
+        for n in (3, 8, 512):
+            ops = [random_circulant(rng, n, symmetric=True),
+                   random_circulant(rng, n, symmetric=False),
+                   build_heat_operator(n, 0.5, 1.0 / n).scaled_shifted(0.5, -1e-3)]
+            for op in ops:
+                assert op.circulant
+                for layout in ("1-D", "C", "F"):
+                    b = as_layout(rng, n, 3, layout)
+                    got = op.solve(b)
+                    want = dense_solve_oracle(op, b)
+                    assert got.shape == b.shape
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(circulant_cases)
+    def test_circulant_solve_matches_dense_oracle_randomized(self, case):
+        n, k, symmetric, layout, seed = case
+        rng = np.random.default_rng(seed)
+        op = random_circulant(rng, n, symmetric)
+        b = as_layout(rng, n, k, layout)
+        got = op.solve(b)
+        want = dense_solve_oracle(op, b)
+        assert got.shape == b.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_periodic_null_mode_raises(self, n):
+        # both have a null vector, so the smallest DFT eigenvalue and the
+        # corner capacitance determinant sit at rounding level, not at zero
+        heat = build_heat_operator(n, 0.5, 1.0 / n)
+        variable = variable_periodic_laplacian(np.random.default_rng(n), n)
+        assert heat.circulant and not variable.circulant
+        for op in (heat, variable):
+            with pytest.raises(SingularOperator):
+                op.solve(np.ones(n))
 
     def test_dimension_mismatch(self):
         op = TridiagonalOperator(np.ones(4), np.zeros(3), np.zeros(3))
