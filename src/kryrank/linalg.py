@@ -1,16 +1,17 @@
 """Dense and banded kernels: tridiagonal solves, block Gram-Schmidt QR, SVD, Sylvester.
 
-A circulant tridiagonal operator (constant diagonal, constant off-diagonals
-matched by nonzero periodic corners, n >= 3: heat's generator and its stage
-operators) is diagonalized by the real DFT and solved by one elementwise
-division between ``rfft`` and ``irfft``; its relative residual is ~1e-14,
-against ~5e-15 for Thomas, on a heat stage operator at n=512.  Every other
-operator is solved by Thomas elimination without pivoting (the operators fed
-to it are diagonally dominant) plus a rank-2 bordered correction for periodic
-wrap entries; that solve runs the recurrence with Python-float coefficients
-on row views updated in place, to cut per-row overhead.  Both paths raise
-SingularOperator on a relative test, so an operator with a null mode (a
-periodic Laplacian) fails loudly at every n.
+Periodic corners mean circulant: a tridiagonal operator with a nonzero
+corner must have a constant diagonal and constant off-diagonals continued by
+the corners, n >= 3 (heat's generator and its stage operators), and any other
+periodic operator is rejected at construction with DimensionMismatch.  A
+circulant operator is diagonalized by the real DFT and solved by one
+elementwise division between ``rfft`` and ``irfft``; its relative residual is
+~1e-14, against ~5e-15 for Thomas, on a heat stage operator at n=512.  A
+corner-free operator (lbfp's) is solved by Thomas elimination without
+pivoting (the operators fed to it are diagonally dominant), run with
+Python-float coefficients on row views updated in place, to cut per-row
+overhead.  The DFT path raises SingularOperator on a relative test, so a
+periodic Laplacian's null mode fails loudly at every n.
 Factorizations are built lazily and cached on the operator, which is treated
 as immutable after construction; ``scaled_shifted`` keeps its last result, so
 a stage operator rebuilt each step is factorized once.
@@ -47,7 +48,7 @@ def _as_matrix(b):
 
 
 class TridiagonalOperator:
-    """Tridiagonal matrix, optionally with periodic corner entries.
+    """Tridiagonal matrix, optionally circulant through periodic corner entries.
 
     Parameters
     ----------
@@ -59,10 +60,12 @@ class TridiagonalOperator:
 
     ``symmetric`` is fixed at construction: true when ``lower`` equals
     ``upper`` and the two corners are equal, exactly.  So is ``circulant``:
-    true when n >= 3, a corner is nonzero, ``diag`` is constant, every
-    ``lower`` entry equals ``corner_upper`` and every ``upper`` entry equals
-    ``corner_lower``, exactly.  A circulant operator is solved through the
-    real DFT, any other by Thomas elimination plus a corner correction.
+    true when a corner is nonzero.  Corners mean circulant: a nonzero corner
+    requires n >= 3, a constant ``diag``, every ``lower`` entry equal to
+    ``corner_upper`` and every ``upper`` entry equal to ``corner_lower``,
+    exactly, and any other periodic operator raises DimensionMismatch.  A
+    circulant operator is solved through the real DFT, a corner-free one by
+    Thomas elimination.
     """
 
     def __init__(self, diag, lower, upper, corner_upper=0.0, corner_lower=0.0):
@@ -88,14 +91,18 @@ class TridiagonalOperator:
             np.array_equal(self.lower, self.upper)
             and self.corner_upper == self.corner_lower
         )
-        # corners first: corner-free operators (lbfp's) skip the O(n) checks
-        self._circulant = bool(
+        # corner-free operators (lbfp's) skip the O(n) checks
+        self._circulant = bool(self.corner_upper or self.corner_lower)
+        if self._circulant and not (
             n >= 3
-            and (self.corner_upper or self.corner_lower)
             and np.all(self.diag == self.diag[0])
             and np.all(self.lower == self.corner_upper)
             and np.all(self.upper == self.corner_lower)
-        )
+        ):
+            raise DimensionMismatch(
+                "periodic corners need a circulant operator: n >= 3, a constant "
+                "diagonal and off-diagonals equal to the corners that wrap them"
+            )
         self._fact = None
         self._shifted = None
 
@@ -169,8 +176,7 @@ class TridiagonalOperator:
                 )
             self._fact = {"eig": eig}
             return
-        # Thomas LU of the pure tridiagonal part; corners handled by a
-        # Sherman-Morrison-Woodbury rank-2 bordered correction.
+        # Thomas LU, no pivoting
         piv = np.empty(n)
         mult = np.empty(n - 1)
         piv[0] = self.diag[0]
@@ -181,38 +187,16 @@ class TridiagonalOperator:
             piv[i + 1] = self.diag[i + 1] - mult[i] * self.upper[i]
         if abs(piv[-1]) < _PIVOT_FLOOR:
             raise SingularOperator("zero pivot at row %d during elimination" % (n - 1))
+        self._fact = {"piv": piv, "mult": mult}
 
-        fact = {"piv": piv, "mult": mult}
-        if self.corner_upper or self.corner_lower:
-            # A = T + P Q^T with P = [e_0, e_{n-1}],
-            # Q^T = [[0,...,0,cu],[cl,0,...,0]]
-            p = np.zeros((n, 2))
-            p[0, 0] = 1.0
-            p[-1, 1] = 1.0
-            z = self._tri_solve(fact, p)
-            qt_z = np.empty((2, 2))
-            qt_z[0] = self.corner_upper * z[-1]
-            qt_z[1] = self.corner_lower * z[0]
-            cap = np.eye(2) + qt_z
-            det = cap[0, 0] * cap[1, 1] - cap[0, 1] * cap[1, 0]
-            # relative to the entries' scale: a periodic Laplacian's null mode
-            # leaves det at rounding level, not below an absolute floor
-            if abs(det) <= n * _EPS * np.abs(cap).max() ** 2:
-                raise SingularOperator(
-                    "singular corner capacitance matrix (det %.3e)" % det
-                )
-            fact["z"] = z
-            fact["cap"] = cap
-        self._fact = fact
-
-    def _tri_solve(self, fact, b):
+    def _tri_solve(self, b):
         # Python-float coefficients and C-ordered row views updated in place:
         # the same IEEE operations per row as the indexed recurrence, with
         # less interpreter work per row.
-        piv = fact["piv"].tolist()
+        piv = self._fact["piv"].tolist()
         y = b.copy()
         rows = list(y)
-        for m, prev, cur in zip(fact["mult"].tolist(), rows, rows[1:]):
+        for m, prev, cur in zip(self._fact["mult"].tolist(), rows, rows[1:]):
             cur -= m * prev
         rows[-1] /= piv[-1]
         # rows n-2 down to 0, each with the row below it
@@ -232,12 +216,8 @@ class TridiagonalOperator:
         if self._circulant:
             eig = self._fact["eig"]
             x = np.fft.irfft(np.fft.rfft(bm, axis=0) / eig[:, None], self.n, axis=0)
-            return x[:, 0] if was_vec else x
-        x = self._tri_solve(self._fact, bm)
-        if "cap" in self._fact:
-            z, cap = self._fact["z"], self._fact["cap"]
-            qt_x = np.vstack([self.corner_upper * x[-1], self.corner_lower * x[0]])
-            x = x - z @ np.linalg.solve(cap, qt_x)
+        else:
+            x = self._tri_solve(bm)
         return x[:, 0] if was_vec else x
 
 

@@ -19,7 +19,7 @@ from kryrank import experiments
 from kryrank.cli import _failure_details, main
 from kryrank.config import load_config
 from kryrank.errors import MaxIterationsExceeded, NewtonDivergence
-from kryrank.experiments import run_heat_convergence
+from kryrank.experiments import run_heat_convergence, run_lbfp_relax
 
 FLOAT_12E = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 FOOTER = re.compile(r"^# schema_version=1,build=kryrank-\S+$")
@@ -274,6 +274,17 @@ class TestRunLbfp:
         assert "MaxIterationsExceeded" in err
         assert re.search(r"\n  at step=0, t=0\.1, species=ion\n", err)
         assert re.search(r"best basis ranks: u=\d+ v=\d+", err)
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_huge_dt_newton_divergence_names_step(self, tmp_path, n):
+        # no monkeypatch: at dt = 1e9 the moment-stage Newton solve itself fails
+        text = Path(lbfp_cfg(tmp_path, n=n)).read_text()
+        text = text.replace("t_final: 0.3\n  dt: 0.1", "t_final: 1.0e+9\n  dt: 1.0e+9")
+        cfg = load_config(write_cfg(tmp_path, text))
+        with pytest.raises(NewtonDivergence) as info:
+            run_lbfp_relax(cfg, tmp_path / "out")
+        assert info.value.where == {"step": 0, "t": 1e9}
+        assert info.value.history
 
     def test_conservation_schema_and_invariants(self, tmp_path):
         main(["run", lbfp_cfg(tmp_path)])

@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kryrank import krylov
-from kryrank.errors import BasisSaturated, MaxIterationsExceeded, SpectralOverlap
+from kryrank.errors import (
+    BasisSaturated,
+    DimensionMismatch,
+    MaxIterationsExceeded,
+    SpectralOverlap,
+)
 from kryrank.krylov import (
     ExtendedKrylovBasis,
     assemble_galerkin,
@@ -451,6 +456,32 @@ class TestSolveAdaptive:
             warnings.simplefilter("error")
             with pytest.raises(SpectralOverlap):
                 solve_adaptive(plus, minus, random_rhs(rng, n, n, 2), 1e-8)
+
+    def test_rank_deficient_seed_meets_tolerance(self):
+        from kryrank.dirk import assemble_stage_operator
+        from kryrank.heat import build_heat_operator
+
+        rng = np.random.default_rng(37)
+        n = 32
+        u = rng.standard_normal((n, 1))
+        v = rng.standard_normal((n, 1))
+        # duplicated columns: [u, u] and [v, 2v] seed rank-1 bases
+        b = LowRankFactors(np.hstack([u, u]), np.eye(2), np.hstack([v, 2.0 * v]))
+        eps = 1e-8 * lr_frobenius(b)
+        stage = assemble_stage_operator(build_heat_operator(n, 0.5, 1.0 / n), 0.01, 0.5)
+        pairs = [(random_dd_tridiag(rng, n), random_dd_tridiag(rng, n)), (stage, stage)]
+        for a1, a2 in pairs:
+            f, diag = solve_adaptive(a1, a2, b, eps)
+            assert diag.residual < eps
+            assert dense_residual_oracle(a1, a2, b, f) < eps
+
+    def test_zero_seed_raises(self):
+        rng = np.random.default_rng(38)
+        n = 16
+        a1 = random_dd_tridiag(rng, n)
+        b = LowRankFactors(np.zeros((n, 2)), np.eye(2), rng.standard_normal((n, 2)))
+        with pytest.raises(DimensionMismatch, match="seed block is numerically zero"):
+            solve_adaptive(a1, a1, b, 1e-8)
 
     def test_unreachable_tolerance_reports_history(self):
         rng = np.random.default_rng(34)

@@ -20,6 +20,7 @@ from kryrank.errors import (
     NonPositiveDiffusion,
 )
 from kryrank.lbfp import (
+    MIN_VELOCITY_CELLS,
     LbfpSystem,
     MomentState,
     PairCoefficients,
@@ -886,6 +887,24 @@ class TestLbfpStep:
             want = np.array([st.n, st.gam1, st.gam2, st.energy])
             scale = np.array([st.n, 1.0, 1.0, st.energy])
             assert np.abs(got - want).max() <= 1e-11 * np.abs(scale).max()
+
+    @pytest.mark.parametrize("name", ["be", "dirk2", "dirk3"])
+    def test_minimum_grid_pins_moments(self, name):
+        table = get_table(name)
+        cur = initialize_system(benchmark_species(), MIN_VELOCITY_CELLS)
+        for _ in range(5):
+            want = moment_step(cur.states, cur.species, table, 0.1)
+            cur, diags = lbfp_step(cur, table, 0.1, 1e-3)
+            assert cur.states == want
+            for a, d in enumerate(diags):
+                assert 1 <= d.rank <= MIN_VELOCITY_CELLS
+                got = np.array(
+                    lr_moments(cur.factors[a], cur.grids[a], cur.grids[a], cur.dvs[a])
+                )
+                st = cur.states[a]
+                ref = np.array([st.n, st.gam1, st.gam2, st.energy])
+                scale = max(st.n, 1.0, st.energy)
+                assert np.abs(got - ref).max() <= 1e-11 * scale
 
     def test_diagnostics_shape(self):
         system = initialize_system(benchmark_species(), 48)

@@ -40,13 +40,11 @@ def kron_sylvester_oracle(a1, a2, b):
     )
 
 
-def random_dd_tridiag(rng, n, corners=False):
+def random_dd_tridiag(rng, n):
     lower = rng.uniform(-1.0, 1.0, n - 1)
     upper = rng.uniform(-1.0, 1.0, n - 1)
-    cu = rng.uniform(-0.5, 0.5) if corners else 0.0
-    cl = rng.uniform(-0.5, 0.5) if corners else 0.0
     diag = 3.0 + rng.uniform(0.0, 1.0, n)
-    return TridiagonalOperator(diag, lower, upper, corner_upper=cu, corner_lower=cl)
+    return TridiagonalOperator(diag, lower, upper)
 
 
 def random_circulant(rng, n, symmetric):
@@ -77,44 +75,26 @@ def as_layout(rng, n, k, layout):
 
 
 def indexed_thomas_solve(op, b):
-    """The Thomas recurrence indexed row by row, plus the rank-2 corner correction.
+    """The Thomas recurrence indexed row by row.
 
     Reference for the bitwise check of ``TridiagonalOperator.solve``: it
     reuses only the pivots and multipliers that a first ``op.solve`` cached.
     """
     fact = op._fact
     piv, mult, upper = fact["piv"], fact["mult"], op.upper
-
-    def thomas(rhs):
-        y = rhs.copy()
-        for i in range(op.n - 1):
-            y[i + 1] -= mult[i] * y[i]
-        y[-1] /= piv[-1]
-        for i in range(op.n - 2, -1, -1):
-            y[i] = (y[i] - upper[i] * y[i + 1]) / piv[i]
-        return y
-
-    bm = b[:, None] if b.ndim == 1 else b
-    x = thomas(bm)
-    if op.corner_upper or op.corner_lower:
-        p = np.zeros((op.n, 2))
-        p[0, 0] = 1.0
-        p[-1, 1] = 1.0
-        z = thomas(p)
-        qt_z = np.empty((2, 2))
-        qt_z[0] = op.corner_upper * z[-1]
-        qt_z[1] = op.corner_lower * z[0]
-        cap = np.eye(2) + qt_z
-        qt_x = np.vstack([op.corner_upper * x[-1], op.corner_lower * x[0]])
-        x = x - z @ np.linalg.solve(cap, qt_x)
-    return x[:, 0] if b.ndim == 1 else x
+    y = (b[:, None] if b.ndim == 1 else b).copy()
+    for i in range(op.n - 1):
+        y[i + 1] -= mult[i] * y[i]
+    y[-1] /= piv[-1]
+    for i in range(op.n - 2, -1, -1):
+        y[i] = (y[i] - upper[i] * y[i + 1]) / piv[i]
+    return y[:, 0] if b.ndim == 1 else y
 
 
-# n in [2, 64], 1 to 8 columns, with or without corners, rhs layout, seed
+# n in [2, 64], 1 to 8 columns, rhs layout, seed
 thomas_cases = st.tuples(
     st.integers(2, 64),
     st.integers(1, 8),
-    st.booleans(),
     st.sampled_from(["1-D", "C", "F"]),
     st.integers(0, 2**32 - 1),
 )
@@ -132,9 +112,9 @@ circulant_cases = st.tuples(
 class TestTridiagonalOperator:
     def test_apply_matches_dense_matvec(self):
         rng = np.random.default_rng(11)
-        for corners in (False, True):
+        for periodic in (False, True):
             for _ in range(8):
-                op = random_dd_tridiag(rng, 17, corners=corners)
+                op = random_circulant(rng, 17, False) if periodic else random_dd_tridiag(rng, 17)
                 x = rng.standard_normal((17, 3))
                 want = op.dense() @ x
                 got = op.apply(x)
@@ -158,15 +138,6 @@ class TestTridiagonalOperator:
         got = op.solve(rhs)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_periodic_corners_match_dense_oracle(self):
-        rng = np.random.default_rng(6)
-        for _ in range(16):
-            op = random_dd_tridiag(rng, 33, corners=True)
-            rhs = rng.standard_normal((33, 2))
-            want = dense_solve_oracle(op, rhs)
-            got = op.solve(rhs)
-            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
-
     def test_solve_apply_roundtrip_randomized(self):
         # spec invariant: 256 diagonally dominant corner-free trials
         rng = np.random.default_rng(7)
@@ -187,7 +158,7 @@ class TestTridiagonalOperator:
 
     def test_scaled_shifted_memo(self):
         rng = np.random.default_rng(9)
-        op = random_dd_tridiag(rng, 12, corners=True)
+        op = random_circulant(rng, 12, symmetric=False)
         before = op.dense()
         first = op.scaled_shifted(0.5, -0.3)
         assert op.scaled_shifted(0.5, -0.3) is first
@@ -209,18 +180,18 @@ class TestTridiagonalOperator:
         for op in build_lbfp_operators(grid, dv, [pair]):
             assert not op.symmetric
             assert not op.scaled_shifted(0.5, -0.1).symmetric
-        ones = np.ones(3)
-        assert not TridiagonalOperator(ones, ones[:2], ones[:2], 1.0, 2.0).symmetric
-        assert TridiagonalOperator(ones, ones[:2], ones[:2], 2.0, 2.0).symmetric
+        rng = np.random.default_rng(10)
+        assert not random_circulant(rng, 3, symmetric=False).symmetric
+        assert random_circulant(rng, 3, symmetric=True).symmetric
         with pytest.raises(AttributeError):
             heat.symmetric = False
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(thomas_cases)
     def test_solve_is_bitwise_indexed_recurrence(self, case):
-        n, k, corners, layout, seed = case
+        n, k, layout, seed = case
         rng = np.random.default_rng(seed)
-        op = random_dd_tridiag(rng, n, corners=corners)
+        op = random_dd_tridiag(rng, n)
         if layout == "1-D":
             b = rng.standard_normal(n)
         else:
@@ -250,18 +221,29 @@ class TestTridiagonalOperator:
         pair = PairCoefficients(nu=0.8, u1=0.2, u2=-0.1, diffusion=1.5)
         for op in build_lbfp_operators(grid, dv, [pair]):
             assert not op.circulant
-        for _ in range(4):
-            assert not random_dd_tridiag(rng, 16, corners=True).circulant
-        nudged = heat.diag.copy()
-        nudged[5] = np.nextafter(nudged[5], 0.0)
-        assert not TridiagonalOperator(
-            nudged, heat.lower, heat.upper, heat.corner_upper, heat.corner_lower
-        ).circulant
         assert not TridiagonalOperator(np.full(8, -2.0), np.ones(7), np.ones(7)).circulant
         # the identity keeps Thomas, so its solve stays exact
         assert not TridiagonalOperator(np.ones(6), np.zeros(5), np.zeros(5)).circulant
-        # n = 2: the corners overlap the off-diagonals
-        assert not TridiagonalOperator(np.ones(2), [0.1], [0.1], 0.1, 0.1).circulant
+
+        # corners mean circulant: any other periodic operator fails at construction
+        nudged = heat.diag.copy()
+        nudged[5] = np.nextafter(nudged[5], 0.0)
+        bands = heat.lower.copy()
+        bands[3] *= 1.0 + 1e-14
+        cases = [
+            (nudged, heat.lower, heat.upper, heat.corner_upper, heat.corner_lower),
+            (heat.diag, bands, heat.upper, heat.corner_upper, heat.corner_lower),
+            (heat.diag, heat.lower, heat.upper, heat.corner_upper, 0.0),
+            (heat.diag, heat.lower, heat.upper, 2.0 * heat.corner_upper, heat.corner_lower),
+            # variable coefficients with wrap entries
+            (3.0 + rng.uniform(0.0, 1.0, 16), rng.uniform(-1.0, 1.0, 15),
+             rng.uniform(-1.0, 1.0, 15), 0.3, -0.2),
+            # n = 2: the corners overlap the off-diagonals
+            (np.ones(2), [0.1], [0.1], 0.1, 0.1),
+        ]
+        for diag, lower, upper, cu, cl in cases:
+            with pytest.raises(DimensionMismatch, match="circulant"):
+                TridiagonalOperator(diag, lower, upper, corner_upper=cu, corner_lower=cl)
 
     def test_circulant_solves_match_dense_oracle(self):
         rng = np.random.default_rng(13)
@@ -292,14 +274,14 @@ class TestTridiagonalOperator:
 
     @pytest.mark.parametrize("n", [8, 64, 512])
     def test_periodic_null_mode_raises(self, n):
-        # both have a null vector, so the smallest DFT eigenvalue and the
-        # corner capacitance determinant sit at rounding level, not at zero
+        # the smallest DFT eigenvalue of the null mode sits at rounding level, not at zero
         heat = build_heat_operator(n, 0.5, 1.0 / n)
-        variable = variable_periodic_laplacian(np.random.default_rng(n), n)
-        assert heat.circulant and not variable.circulant
-        for op in (heat, variable):
-            with pytest.raises(SingularOperator):
-                op.solve(np.ones(n))
+        assert heat.circulant
+        with pytest.raises(SingularOperator):
+            heat.solve(np.ones(n))
+        # a variable-coefficient periodic Laplacian is not circulant
+        with pytest.raises(DimensionMismatch):
+            variable_periodic_laplacian(np.random.default_rng(n), n)
 
     def test_dimension_mismatch(self):
         op = TridiagonalOperator(np.ones(4), np.zeros(3), np.zeros(3))

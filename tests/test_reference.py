@@ -94,9 +94,9 @@ class TestPropagator:
         d = build_heat_operator(24, 0.5, 1.0 / 24)
         op = TridiagonalOperator(
             d.diag, d.lower * (1.0 + 1e-14), d.upper,
-            corner_upper=d.corner_upper, corner_lower=d.corner_lower,
+            corner_upper=d.corner_upper * (1.0 + 1e-14), corner_lower=d.corner_lower,
         )
-        assert not op.symmetric
+        assert op.circulant and not op.symmetric
         dense = op.dense()
         assert 0.0 < np.abs(dense - dense.T).max() <= 1e-13 * np.abs(dense).max()
         got = propagator(op, 0.01)
