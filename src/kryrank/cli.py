@@ -83,7 +83,7 @@ def _self_check(seed):
     rng = np.random.default_rng(seed)
     results = []
 
-    worst = 0.0
+    worst = id_gap = 0.0
     for _ in range(3):
         n = 24
         a1 = _random_tridiag(rng, n)
@@ -92,11 +92,18 @@ def _self_check(seed):
             rng.standard_normal((n, 2)), np.eye(2), rng.standard_normal((n, 2))
         )
         eps = 1e-8 * lr_frobenius(b)
-        f, _diag = solve_adaptive(a1, a2, b, eps)
+        f, diag = solve_adaptive(a1, a2, b, eps)
         dense = f.materialize()
         resid = a1.dense() @ dense + dense @ a2.dense().T - b.materialize()
-        worst = max(worst, float(np.linalg.norm(resid)) / lr_frobenius(b))
+        norm = float(np.linalg.norm(resid))
+        worst = max(worst, norm / lr_frobenius(b))
+        id_gap = max(id_gap, abs(diag.residual - norm) / lr_frobenius(b))
     results.append(("sylvester-residual", worst <= 1e-8, "max rel %.2e" % worst))
+    # both residuals round at ~1e-16 ||B||, up to 1e-6 of a converged one
+    # (4e-11 ||B|| and up here), so the gap is taken in units of ||B||
+    results.append(
+        ("residual-identity", id_gap <= 1e-12, "max gap %.2e of ||B||" % id_gap)
+    )
 
     w = rng.uniform(-30.0, 30.0, 64)
     gap = float(np.max(np.abs(chang_cooper_delta(w) + chang_cooper_delta(-w) - 1.0)))
@@ -135,10 +142,11 @@ def _failure_details(exc):
         if exc.where:
             lines.append("at " + ", ".join("%s=%s" % kv for kv in exc.where.items()))
         lines.append("residual history: %s" % " ".join("%.3e" % r for r in exc.history))
-    if isinstance(exc, MaxIterationsExceeded) and exc.best is not None:
-        lines.append(
-            "best basis ranks: u=%d v=%d" % (exc.best.u.shape[1], exc.best.v.shape[1])
-        )
+    if isinstance(exc, MaxIterationsExceeded):
+        if exc.best is not None:
+            ranks = (exc.best.u.shape[1], exc.best.v.shape[1])
+            lines.append("best basis ranks: u=%d v=%d" % ranks)
+        lines.append("basis saturated: %s" % ("yes" if exc.saturated else "no"))
     return lines
 
 

@@ -112,7 +112,6 @@ class StepDiagnostics:
     rank: int
     basis_rank_u: int
     basis_rank_v: int
-    saturated: bool = False
     residual_history: list = field(default_factory=list)
     late_stage_restarts: int = 0
 
@@ -148,7 +147,6 @@ def dirk_step(f_n, table, dt, generators, tolerance, post_process=None):
         rank=f_next.rank,
         basis_rank_u=diag.rank_u,
         basis_rank_v=diag.rank_v,
-        saturated=diag.saturated,
         residual_history=list(diag.history),
         late_stage_restarts=sum(1 for k in diag.reject_stages if k > 0),
     )

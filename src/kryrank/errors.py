@@ -40,11 +40,13 @@ class SolveFailure(KryrankError):
 
 
 class MaxIterationsExceeded(SolveFailure):
-    """An adaptive loop hit its iteration cap before meeting tolerance."""
+    """An adaptive loop stopped short of its tolerance: ``saturated`` when
+    neither basis could grow, at its iteration cap otherwise."""
 
-    def __init__(self, message, best=None, history=None):
+    def __init__(self, message, best=None, history=None, saturated=False):
         super().__init__(message, history)
         self.best = best
+        self.saturated = saturated
 
 
 class NewtonDivergence(SolveFailure):

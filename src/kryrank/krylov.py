@@ -3,12 +3,16 @@
 For A1 F + F A2^T = B with B = U0 S0 V0^T, orthonormal bases of the spaces
 span{U0, A1 U0, A1^{-1} U0, A1^2 U0, ...} (and likewise for A2, V0) are grown
 incrementally.  The equation is projected onto them and the small projected
-system solved densely; the Frobenius residual of the full equation is
-recovered exactly from triangular factors of [Q, A Q] at O(r^3) cost, valid
-because the seed blocks lie inside the spans.
+system solved densely.  Writing A Q = Q C + P with P orthogonal to Q on each
+side, the residual of F = U S V^T is the hypot of three orthogonal blocks,
+C_u S + S C_v^T - B~, P_u S and P_v S^T: an exact check at O(n r^2) BLAS-3
+cost per stage, no QR, valid for orthonormal U, V, a twice-projected P and
+seed blocks inside the spans.
 """
 
-from dataclasses import dataclass, field
+import math
+from contextlib import suppress
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -82,65 +86,56 @@ def grow_basis(basis, op):
 
 @dataclass
 class GalerkinSystem:
-    """Projected Sylvester system plus the triangular residual factors."""
+    """Projected system plus each side's C = Q^T A Q and P = (I - Q Q^T) A Q."""
 
     a1: np.ndarray
     a2: np.ndarray
     b: np.ndarray
-    r_u: np.ndarray
-    r_v: np.ndarray
+    c_u: np.ndarray
+    c_v: np.ndarray
+    p_u: np.ndarray
+    p_v: np.ndarray
 
 
 def _galerkin_side(op, q):
-    """Reduced operator Q^T A Q and the R factor of a QR of [Q, A Q].
+    """Reduced operator, coefficient block C and remainder P of A Q = Q C + P.
 
-    Only R enters the residual identity, and any orthogonal factorization of
-    [Q, A Q] yields the same norm, so the A Q block is projected out of Q in
-    two blocked passes and the remainder goes through a dense QR.
+    A Q is projected out of Q in two blocked passes, in place; C adds up
+    both passes' coefficients, so P is orthogonal to Q to rounding.
     """
-    aq = op.apply(q)
-    a_red = q.T @ aq
+    p = op.apply(q)
+    a_red = q.T @ p
     if op.symmetric:
-        # exactly symmetric, so ``sylvester_schur`` may use eigh; a_red + c2
-        # below is still Q^T A Q to rounding, which is all R needs
+        # exactly symmetric, so ``sylvester_schur`` may use eigh; C below is
+        # still Q^T A Q to rounding, which is all the residual needs
         a_red = (a_red + a_red.T) / 2
-    p = aq - q @ a_red
+    p -= q @ a_red
     c2 = q.T @ p
     p -= q @ c2
-    r = q.shape[1]
-    r2 = np.linalg.qr(p, mode="r")
-    r_fac = np.zeros((r + r2.shape[0], 2 * r))
-    r_fac[:r, :r] = np.eye(r)
-    r_fac[:r, r:] = a_red + c2
-    r_fac[r:, r:] = r2
-    return a_red, r_fac
-
-
-def _reduced_rhs(b, qu, qv):
-    return (qu.T @ b.u) @ b.s @ (b.v.T @ qv)
+    return a_red, a_red + c2, p
 
 
 def assemble_galerkin(a1, a2, u1, v1, b):
     """Project A1 F + F A2^T = B onto bases U1, V1."""
-    a1_red, r_u = _galerkin_side(a1, u1)
-    a2_red, r_v = _galerkin_side(a2, v1)
-    return GalerkinSystem(a1_red, a2_red, _reduced_rhs(b, u1, v1), r_u, r_v)
+    a1_red, c_u, p_u = _galerkin_side(a1, u1)
+    a2_red, c_v, p_v = _galerkin_side(a2, v1)
+    b_red = (u1.T @ b.u) @ b.s @ (b.v.T @ v1)
+    return GalerkinSystem(a1_red, a2_red, b_red, c_u, c_v, p_u, p_v)
 
 
 def residual_norm(system, s1):
     """Frobenius norm of A1 F + F A2^T - B for F = U1 S1 V1^T.
 
-    Uses the identity R = [U1, A1 U1] [[-B~, S1], [S1, 0]] [V1, A2 V1]^T,
-    so only the triangular QR factors of the bracketed blocks enter.
+    R = U (C_u S1 + S1 C_v^T - B~) V^T + P_u S1 V^T + U S1 P_v^T, and the
+    three terms are mutually orthogonal, so ||R|| is the hypot of
+    ||C_u S1 + S1 C_v^T - B~||, ||P_u S1|| and ||P_v S1^T||.
     """
     ru, rv = system.b.shape
     if s1.shape != (ru, rv):
         raise DimensionMismatch("core must be %d x %d, got %s" % (ru, rv, s1.shape))
-    mid = np.zeros((2 * ru, 2 * rv))
-    mid[:ru, :rv] = -system.b
-    mid[:ru, rv:] = s1
-    mid[ru:, :rv] = s1
-    return float(np.linalg.norm(system.r_u @ mid @ system.r_v.T))
+    galerkin = system.c_u @ s1 + s1 @ system.c_v.T - system.b
+    blocks = (galerkin, system.p_u @ s1, system.p_v @ s1.T)
+    return math.hypot(*(np.linalg.norm(blk) for blk in blocks))
 
 
 def lte_tolerance(c, dt, order):
@@ -161,7 +156,6 @@ class SolveDiagnostics:
     rank_u: int
     rank_v: int
     history: list = field(default_factory=list)
-    saturated: bool = False
     stage_residuals: list = field(default_factory=list)
     reject_stages: list = field(default_factory=list)
 
@@ -197,20 +191,18 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
     best = None
     saturated = False
     for m in range(max_iter + 1):
-        a1_red, r_u = _galerkin_side(op1, ub.q)
-        a2_red, r_v = _galerkin_side(op2, vb.q)
-        schur = sylvester_schur(a1_red, a2_red, op1.symmetric and op2.symmetric)
-        b1 = _reduced_rhs(b, ub.q, vb.q)
+        system = assemble_galerkin(op1, op2, ub.q, vb.q, b)
+        schur = sylvester_schur(system.a1, system.a2, op1.symmetric and op2.symmetric)
         increments = []
         cores = []
         stage_res = []
         ok = True
         for k in range(s):
-            bk = b1.copy()
+            bk = system.b.copy()
             for l in range(k):
                 bk += coeff[k, l] * increments[l]
-            sk = solve_sylvester_dense(a1_red, a2_red, bk, schur)
-            res = residual_norm(GalerkinSystem(a1_red, a2_red, bk, r_u, r_v), sk)
+            sk = solve_sylvester_dense(system.a1, system.a2, bk, schur)
+            res = residual_norm(replace(system, b=bk), sk)
             stage_res.append(res)
             if k == 0:
                 best = LowRankFactors(ub.q, sk, vb.q, orthonormal=True)
@@ -223,23 +215,20 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
         history.append(stage_res[-1])
         if ok:
             diag = SolveDiagnostics(
-                m, stage_res[-1], ub.rank, vb.rank, history, saturated,
-                stage_res, rejects,
+                m, stage_res[-1], ub.rank, vb.rank, history, stage_res, rejects
             )
             return ub.q, cores, vb.q, diag
         if m == max_iter:
             break
+        # free the n x r remainders before growth allocates
+        system = schur = None
         grew = False
-        try:
+        with suppress(BasisSaturated):
             ub = grow_basis(ub, op1)
             grew = True
-        except BasisSaturated:
-            pass
-        try:
+        with suppress(BasisSaturated):
             vb = grow_basis(vb, op2)
             grew = True
-        except BasisSaturated:
-            pass
         if not grew:
             saturated = True
             break
@@ -248,6 +237,7 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
         % (history[-1], len(history) - 1, " (basis saturated)" if saturated else ""),
         best=best,
         history=history,
+        saturated=saturated,
     )
 
 

@@ -97,12 +97,13 @@ class TestValidate:
         assert "time.lambda = 50, 100" in out
         assert "seed = 0" in out
 
-    def test_runs_all_four_self_checks(self, tmp_path, capsys):
+    def test_runs_all_five_self_checks(self, tmp_path, capsys):
         rc = main(["validate", heat_cfg(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
         for name in (
             "sylvester-residual",
+            "residual-identity",
             "flux-weight-identity",
             "constant-null-mode",
             "circulant-solve",
@@ -239,6 +240,7 @@ class TestRunHeat:
         # the failure details the exception carries reach the user
         assert re.search(r"residual history: \d\.\d{3}e[+-]\d+ ", err)
         assert re.search(r"best basis ranks: u=\d+ v=\d+", err)
+        assert "\n  basis saturated: yes\n" in err
         # and say where it failed: the first step of the first lambda
         assert re.search(r"\n  at step=0, t=\S+, lambda=50(\.0)?\n", err)
 
@@ -251,6 +253,7 @@ class TestRunHeat:
         assert exc.where["step"] == 0 and exc.where["lambda"] == 50
         assert exc.where["t"] == pytest.approx(50 / 32**2)
         assert exc.best is not None and len(exc.history) >= 2
+        assert exc.saturated is True
 
     def test_newton_failure_prints_history(self):
         exc = NewtonDivergence("stage Newton missed tolerance", [2.0, 0.25])

@@ -71,6 +71,37 @@ def orthonormality_loss(q):
     return np.abs(q.T @ q - np.eye(q.shape[1])).max(initial=0.0)
 
 
+def stage_pair(kind, n):
+    """Stage operator pair and seed of the benchmark's two operator families.
+
+    ``heat``: the dirk2 stage operator of the periodic heat workload at
+    lambda 400, symmetric, so its projections are diagonalized by ``eigh``.
+    ``chang-cooper``: a strongly drifting Chang-Cooper pair (cell Peclet
+    number 5 in v1), non-normal, so it takes the real Schur path.
+    """
+    from kryrank.dirk import assemble_stage_operator, get_table
+    from kryrank.heat import build_heat_operator, heat_initial_condition
+    from kryrank.lbfp import (
+        PairCoefficients,
+        SpeciesConfig,
+        bi_maxwellian_factors,
+        build_lbfp_operators,
+        velocity_grid,
+    )
+
+    akk = get_table("dirk2").a[0, 0]
+    if kind == "heat":
+        d = build_heat_operator(n, 0.5, 1.0 / n)
+        stage = assemble_stage_operator(d, 400.0 / n**2, akk)
+        return (stage, stage), heat_initial_condition(n)
+    grid, dv = velocity_grid(n, 8.0 * n / 64)
+    pair = PairCoefficients(nu=1.0, u1=6.0, u2=-5.0, diffusion=0.3)
+    d1, d2 = build_lbfp_operators(grid, dv, [pair])
+    ops = (assemble_stage_operator(d1, 0.1, akk), assemble_stage_operator(d2, 0.1, akk))
+    sp = SpeciesConfig("s", mass=1.0, charge=1.0, drift=(2.0, -1.0))
+    return ops, bi_maxwellian_factors(grid, grid, sp)
+
+
 class TestLteTolerance:
     def test_formula_values(self):
         assert abs(lte_tolerance(1.0, 0.1, 1) - 1e-2) <= 1e-16
@@ -374,6 +405,44 @@ class TestResidualNorm:
             assert abs(got - want) <= 1e-9 * max(want, 1e-30), trial
 
 
+    @pytest.mark.parametrize("kind, n", [("heat", 512), ("chang-cooper", 64)])
+    def test_identity_at_benchmark_scale(self, kind, n):
+        (a1, a2), b = stage_pair(kind, n)
+        assert a1.symmetric == (kind == "heat")
+        bu = seed_basis(b.u, orthonormal=b.orthonormal)
+        bv = seed_basis(b.v, orthonormal=b.orthonormal)
+        for rounds in (1, 2, 3):
+            bu, bv = grow_basis(bu, a1), grow_basis(bv, a2)
+            sys = assemble_galerkin(a1, a2, bu.q, bv.q, b)
+            s1 = solve_sylvester_dense(sys.a1, sys.a2, sys.b)
+            f = LowRankFactors(bu.q, s1, bv.q, orthonormal=True)
+            want = dense_residual_oracle(a1, a2, b, f)
+            assert abs(residual_norm(sys, s1) - want) <= 1e-9 * want, rounds
+
+    @pytest.mark.parametrize("kind", ["heat", "chang-cooper"])
+    def test_saturated_basis_leaves_only_the_galerkin_block(self, kind):
+        (a1, a2), b = stage_pair(kind, 16)
+        bases = []
+        for op, seed in ((a1, b.u), (a2, b.v)):
+            basis = seed_basis(seed, orthonormal=b.orthonormal)
+            with pytest.raises(BasisSaturated):
+                while True:
+                    basis = grow_basis(basis, op)
+            assert basis.rank == 16
+            bases.append(basis.q)
+        sys = assemble_galerkin(a1, a2, bases[0], bases[1], b)
+        for op, p in ((a1, sys.p_u), (a2, sys.p_v)):
+            assert np.abs(p).max() <= 1e-14 * np.abs(op.dense()).max()
+        # a core far from the solution, so the Galerkin block is O(1)
+        s1 = np.random.default_rng(25).standard_normal((16, 16))
+        galerkin = np.linalg.norm(sys.c_u @ s1 + s1 @ sys.c_v.T - sys.b)
+        got = residual_norm(sys, s1)
+        assert abs(got - galerkin) <= 1e-14 * galerkin
+        f = LowRankFactors(bases[0], s1, bases[1], orthonormal=True)
+        want = dense_residual_oracle(a1, a2, b, f)
+        assert abs(got - want) <= 1e-9 * want
+
+
 class TestSolveAdaptive:
     def test_half_identity_converges_immediately(self):
         rng = np.random.default_rng(31)
@@ -495,3 +564,14 @@ class TestSolveAdaptive:
         assert len(hist) >= 2
         assert all(b_ <= a_ * (1.0 + 1e-12) for a_, b_ in zip(hist, hist[1:]))
         assert info.value.best is not None
+        assert info.value.saturated is False
+
+    @pytest.mark.parametrize("kind", ["heat", "chang-cooper"])
+    def test_rounding_level_tolerance_saturates(self, kind):
+        (a1, a2), b = stage_pair(kind, 16)
+        with pytest.raises(MaxIterationsExceeded, match="basis saturated") as info:
+            solve_adaptive(a1, a2, b, 1e-18 * lr_frobenius(b))
+        exc = info.value
+        assert exc.saturated is True
+        assert exc.best is not None and exc.best.u.shape[1] == 16
+        assert len(exc.history) >= 2
