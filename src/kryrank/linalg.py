@@ -18,8 +18,13 @@ a stage operator rebuilt each step is factorized once.
 The dense Sylvester solve is Bartels-Stewart split into ``sylvester_schur`` (the
 O(n^3) Schur forms, shareable) and a per-right-hand-side back-solve; a pair
 declared symmetric is diagonalized by ``eigh`` instead, and the back-solve is
-then one elementwise division.  scipy is imported only by the non-symmetric
-branches, at their first call, so symmetric (heat) runs load numpy alone.
+then one elementwise division.  Near-overlapping spectra raise
+SpectralOverlap: the Schur back-solve checks its residual against 1e-6 of
+the right-hand side after each solve, while the symmetric path checks once,
+when ``sylvester_schur`` factors the pair, an a-priori bound on that same
+residual, O(mk) against the O(mk(m+k)) residual product, and at least as
+strict.  scipy is imported only by the non-symmetric branches, at their
+first call, so symmetric (heat) runs load numpy alone.
 """
 
 import math
@@ -36,6 +41,8 @@ from .errors import (
 _PIVOT_FLOOR = 1e-300
 _EPS = np.finfo(float).eps
 _MGS_DROP = 1e-12
+# relative residual at which a Sylvester solve counts as spectral overlap
+_OVERLAP_RTOL = 1e-6
 
 
 def _as_matrix(b):
@@ -318,6 +325,18 @@ def sylvester_schur(a1, a2, symmetric=False):
     ``eigh`` reads one triangle only, so with ``symmetric`` a matrix that is
     not exactly symmetric raises DimensionMismatch rather than being solved
     as the symmetric matrix its triangle describes.
+
+    The symmetric factorization is also where that path's overlap guard
+    lives.  With orthogonal Z, X = Z1 (F / (w1_i + w2_j)) Z2^T has
+    ||X|| <= ||B|| / sep, sep = min |w1_i + w2_j|, and ``eigh``'s backward
+    error of order max(m, k) eps max|w| per side then bounds the relative
+    residual of the back-solve by max(m, k) eps (max|w1| + max|w2|) / sep,
+    up to the modest constant of that backward error.  The pair raises
+    SpectralOverlap unless this bound is at most 1e-6, the level of the
+    residual check that the Schur back-solve keeps: an O(mk) test, once per
+    factorization, that rejects every pair whose back-solve could miss that
+    level, so it is at least as strict as measuring the residual of each
+    solve (and rejects some pairs whose solves would have passed).
     """
     if symmetric:
         for a in (a1, a2):
@@ -337,6 +356,15 @@ def sylvester_schur(a1, a2, symmetric=False):
                 factors += scipy.linalg.schur(a, output="real")
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise SpectralOverlap("Sylvester solve failed: %s" % exc) from exc
+    if symmetric:
+        w1, _, w2, _ = factors
+        sep = np.abs(w1[:, None] + w2[None, :]).min()
+        bound = max(w1.size, w2.size) * _EPS * (np.abs(w1).max() + np.abs(w2).max())
+        if not (sep > 0.0 and bound <= _OVERLAP_RTOL * sep):
+            raise SpectralOverlap(
+                "spectra of A1 and -A2^T overlap: separation %.3e against a "
+                "rounding bound of %.3e" % (sep, bound)
+            )
     return tuple(factors)
 
 
@@ -346,10 +374,12 @@ def solve_sylvester_dense(a1, a2, b, schur=None):
     ``schur`` is ``sylvester_schur(a1, a2, ...)``, computed here (both sides
     Schur) when not given; the back-solve then repeats scipy's
     ``solve_sylvester(a1, a2.T, b)`` step for step, so the result is bitwise
-    the same.  With eigen-factors the back-solve is
-    ``F / (w1[:, None] + w2[None, :])``, bitwise what ``dtrsyl`` gives on the
-    diagonal forms.  Raises SpectralOverlap when the spectra of A1 and -A2^T
-    (near-)intersect and the back-solve degrades.
+    the same, and raises SpectralOverlap when its residual exceeds 1e-6
+    relative to B (the spectra of A1 and -A2^T near-intersect).  With eigen
+    factors the back-solve is ``F / (w1[:, None] + w2[None, :])``, bitwise
+    what ``dtrsyl`` gives on the diagonal forms; its overlap guard ran when
+    ``sylvester_schur`` factored the pair, so no residual is formed.  Either
+    way a non-finite result raises SpectralOverlap.
     """
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
@@ -378,10 +408,12 @@ def solve_sylvester_dense(a1, a2, b, schur=None):
     x = np.dot(np.dot(z1, y), z2.T)
     if not np.all(np.isfinite(x)):
         raise SpectralOverlap("Sylvester solve produced non-finite entries")
+    if t1.ndim == 1:
+        return x
     res = a1 @ x + x @ a2.T - b
     scale = np.linalg.norm(b)
     # residual relative to B: a backward-stable solve keeps this at
     # eps * (|A1|+|A2|) / sep(A1, -A2), so exceeding 1e-6 means near-overlap
-    if scale > 0.0 and np.linalg.norm(res) > 1e-6 * scale:
+    if scale > 0.0 and np.linalg.norm(res) > _OVERLAP_RTOL * scale:
         raise SpectralOverlap("Sylvester residual too large; spectra likely overlap")
     return x

@@ -1,12 +1,16 @@
 """Dense reference pipelines used for validation and timing baselines.
 
 These run the same stage algebra as the low-rank path but on full matrices,
-with no basis compression anywhere, so discrepancies isolate the low-rank
-approximation itself.
+with no basis compression anywhere.  For heat, discrepancies therefore
+isolate the low-rank approximation itself.  For lbfp they do not: the dense
+step applies no LoMaC moment pin, while ``lbfp_step`` pins each species to
+the moment system, so the two also differ by Chang-Cooper's energy drift
+(second order in dv), which the pin removes from the low-rank path only.
 """
 
 import numpy as np
 
+from .errors import SpectralOverlap
 from .lbfp import build_lbfp_operators, collision_coefficients, moment_step
 from .linalg import solve_sylvester_dense, sylvester_schur
 
@@ -36,30 +40,48 @@ def dense_dirk_step(f, table, dt, d1, d2, cache=None, symmetric=False):
     """Full-rank DIRK step on a dense state, mirroring the low-rank stage recursion.
 
     ``cache`` maps a_kk to the stage matrices I/2 - dt*a_kk*D and their
-    factors, so stages with equal a_kk share one factorization.  A caller that
-    keeps d1, d2 and dt fixed may pass one dict to every step to factor each
-    stage operator once per run; by default it lives for this step only.
-    With ``symmetric`` both stage matrices are diagonalized by ``eigh`` and
-    each stage back-solves by one elementwise division; a stage matrix that
-    is not exactly symmetric then raises DimensionMismatch.  Otherwise they
-    get real Schur forms and the ``dtrsyl`` back-solve.
+    factors; ``ButcherTable`` enforces one a_kk, so a step factors one stage
+    pair.  A caller that keeps d1, d2 and dt fixed may pass one dict to every
+    step to factor the pair once per run; by default it lives for this step
+    only.  Without ``symmetric`` the pair gets real Schur forms and each
+    stage is solved by ``solve_sylvester_dense``'s ``dtrsyl`` back-solve and
+    residual check.
+
+    With ``symmetric`` both stage matrices are diagonalized by ``eigh``
+    (A = Z W Z^T; a matrix that is not exactly symmetric raises
+    DimensionMismatch) and the whole step runs in that eigenbasis: the state
+    moves in once, G = Z1^T F Z2, stage k solves Y_k = B_k / (w1_i + w2_j)
+    elementwise and adds the increment (Y_k - B_k)/a_kk, and the last stage
+    moves out once, Z1 Y_s Z2^T: four n^3 products per step whatever the
+    number of stages.  The overlap guard is the a-priori bound that
+    ``sylvester_schur`` checks when it factors the pair, so no stage divides
+    by a near-zero w1_i + w2_j; a non-finite result raises SpectralOverlap,
+    as the back-solve does.
     """
     cache = {} if cache is None else cache
+    akk = table.a[0, 0]
+    if akk not in cache:
+        a1 = 0.5 * np.eye(f.shape[0]) - dt * akk * d1
+        a2 = 0.5 * np.eye(f.shape[1]) - dt * akk * d2
+        cache[akk] = (a1, a2, sylvester_schur(a1, a2, symmetric))
+    a1, a2, schur = cache[akk]
+    if symmetric:
+        w1, z1, w2, z2 = schur
+        denom = w1[:, None] + w2[None, :]
+        f = z1.T @ f @ z2
     incs = []
-    fk = f
     for k in range(table.stages):
-        akk = table.a[k, k]
         b = f.copy()
         for l in range(k):
             b += table.a[k, l] * incs[l]
-        if akk not in cache:
-            a1 = 0.5 * np.eye(f.shape[0]) - dt * akk * d1
-            a2 = 0.5 * np.eye(f.shape[1]) - dt * akk * d2
-            cache[akk] = (a1, a2, sylvester_schur(a1, a2, symmetric))
-        a1, a2, schur = cache[akk]
-        fk = solve_sylvester_dense(a1, a2, b, schur)
-        incs.append((fk - b) / akk)
-    return fk
+        yk = b / denom if symmetric else solve_sylvester_dense(a1, a2, b, schur)
+        incs.append((yk - b) / akk)
+    if not symmetric:
+        return yk
+    out = z1 @ yk @ z2.T
+    if not np.all(np.isfinite(out)):
+        raise SpectralOverlap("Sylvester solve produced non-finite entries")
+    return out
 
 
 def dense_lbfp_step(states, dense_fs, species, grids, dvs, table, dt):

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kryrank import krylov
@@ -100,6 +100,47 @@ def stage_pair(kind, n):
     ops = (assemble_stage_operator(d1, 0.1, akk), assemble_stage_operator(d2, 0.1, akk))
     sp = SpeciesConfig("s", mass=1.0, charge=1.0, drift=(2.0, -1.0))
     return ops, bi_maxwellian_factors(grid, grid, sp)
+
+
+def kron_band_solver(a1, a2):
+    """Banded LU of the Kronecker sum K = I (x) A1 + A2 (x) I of two tridiagonals.
+
+    K is the (n1 n2)-square matrix of A1 X + X A2^T acting on vec(X) in
+    column order; its bandwidth is n1 each way.  Returns ``solve(b, trans)``
+    for K x = b (trans 0) or K^T x = b (trans 1), by LAPACK ``dgbtrf`` /
+    ``dgbtrs``: Gaussian elimination with partial pivoting, independent of
+    the Schur/eigh Sylvester path.
+    """
+    import scipy.sparse
+
+    n1, n2 = a1.n, a2.n
+    big = (
+        scipy.sparse.kron(scipy.sparse.identity(n2), scipy.sparse.csr_matrix(a1.dense()))
+        + scipy.sparse.kron(scipy.sparse.csr_matrix(a2.dense()), scipy.sparse.identity(n1))
+    ).todia()
+    band = np.zeros((3 * n1 + 1, n1 * n2))
+    for off, diag in zip(big.offsets, big.data):
+        band[2 * n1 - off] = diag
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(band, n1, n1)
+    assert info == 0
+
+    def solve(b, trans=0):
+        x, info = scipy.linalg.lapack.dgbtrs(lu, n1, n1, b, piv, trans=trans)
+        assert info == 0
+        return x
+
+    return solve
+
+
+def inverse_norm_estimate(solve, size, rng, iters=30):
+    """||K^-1||_2 by power iteration on K^-T K^-1; converges from below."""
+    x = rng.standard_normal((size, 1))
+    est = 0.0
+    for _ in range(iters):
+        x /= np.linalg.norm(x)
+        x = solve(solve(x), trans=1)
+        est = np.sqrt(np.linalg.norm(x))
+    return est
 
 
 class TestLteTolerance:
@@ -468,6 +509,44 @@ class TestSolveAdaptive:
         assert diag.residual < eps
         f_dense = solve_sylvester_dense(a_op.dense(), a_op.dense(), b.materialize())
         assert np.linalg.norm(f.materialize() - f_dense) <= 10.0 * eps
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        n=st.sampled_from([8, 16, 24, 32, 48, 64]),
+        peclet=st.floats(1.0, 10.0),
+        drift=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+        dt=st.floats(0.01, 1.0),
+        rtol=st.sampled_from([1e-4, 1e-6, 1e-8, 1e-10]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=64, peclet=10.0, drift=(4.0, -4.0), dt=1.0, rtol=1e-10, seed=0)
+    @example(n=64, peclet=10.0, drift=(-4.0, 1.0), dt=0.05, rtol=1e-8, seed=1)
+    def test_drifting_chang_cooper_matches_kronecker(self, n, peclet, drift, dt, rtol, seed):
+        from kryrank.dirk import assemble_stage_operator
+        from kryrank.lbfp import PairCoefficients, build_lbfp_operators, velocity_grid
+
+        # the diffusion sets the largest cell Peclet number dv |v - u| / D
+        # over both directions' faces to ``peclet``: non-normal stage pairs
+        grid, dv = velocity_grid(n, 8.0)
+        faces = grid[:-1] + 0.5 * dv
+        reach = max(np.abs(faces - u).max() for u in drift)
+        pair = PairCoefficients(nu=1.0, u1=drift[0], u2=drift[1], diffusion=dv * reach / peclet)
+        a1, a2 = (
+            assemble_stage_operator(d, dt, 1.0)
+            for d in build_lbfp_operators(grid, dv, [pair])
+        )
+        rng = np.random.default_rng(seed)
+        b = random_rhs(rng, n, n, 2)
+        eps = rtol * lr_frobenius(b)
+        f, diag = solve_adaptive(a1, a2, b, eps)
+        assert diag.residual < eps
+        solve = kron_band_solver(a1, a2)
+        want = solve(b.materialize().reshape(-1, 1, order="F")).reshape((n, n), order="F")
+        # F - F* = K^-1 vec(R) with ||R|| < eps; the factor 2 covers the
+        # estimate from below, the second term the oracle's own rounding
+        kinv = inverse_norm_estimate(solve, n * n, rng)
+        err = np.linalg.norm(f.materialize() - want)
+        assert err <= 2.0 * kinv * eps + 1e-12 * np.linalg.norm(want)
 
     def test_galerkin_orthogonality(self):
         rng = np.random.default_rng(32)

@@ -486,3 +486,40 @@ class TestSolveSylvesterDense:
                     solve_sylvester_dense(a1, a2, b, sylvester_schur(a1, a2, symmetric=sym))
             with pytest.raises(SpectralOverlap):
                 solve_sylvester_dense(a1, a2, b)
+
+    # (m, delta) -> (eigh path raises, Schur path raises) for A2 = -A1 + delta I.
+    # At delta 1e-8 the eigh path's a-priori bound m eps (5 + 5) exceeds
+    # 1e-6 sep once m > 4, while the Schur path's measured residual (~1e-7)
+    # stays under its 1e-6 check: the factorization-time guard is the
+    # stricter one, as its docstring says.
+    NEAR_OVERLAP = {
+        (1, 1e-3): (False, False), (8, 1e-3): (False, False), (64, 1e-3): (False, False),
+        (1, 1e-8): (False, False), (8, 1e-8): (True, False), (64, 1e-8): (True, False),
+        (1, 1e-12): (True, True), (8, 1e-12): (True, True), (64, 1e-12): (True, True),
+    }
+
+    @pytest.mark.parametrize("m, delta", sorted(NEAR_OVERLAP))
+    def test_near_overlapping_spectra(self, m, delta):
+        rng = np.random.default_rng(48 + m)
+        q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        lam = rng.uniform(1.0, 5.0, m)
+        lam[0] = 5.0
+        a1 = (q * lam) @ q.T
+        a1 = 0.5 * (a1 + a1.T)
+        a2 = -a1 + delta * np.eye(m)
+        b = rng.standard_normal((m, m))
+        solved = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sym, raises in zip((True, False), self.NEAR_OVERLAP[m, delta]):
+                if raises:
+                    with pytest.raises(SpectralOverlap):
+                        solve_sylvester_dense(a1, a2, b, sylvester_schur(a1, a2, sym))
+                    continue
+                x = solve_sylvester_dense(a1, a2, b, sylvester_schur(a1, a2, sym))
+                res = np.linalg.norm(a1 @ x + x @ a2.T - b)
+                assert res <= 1e-6 * np.linalg.norm(b), (sym, res)
+                solved.append(x)
+        if delta == 1e-3:
+            # both paths solved, and they agree to the conditioning 10 eps / delta
+            assert np.abs(solved[0] - solved[1]).max() <= 1e-10 * np.abs(solved[1]).max()

@@ -7,14 +7,15 @@ the stage recursion, and plain dense arithmetic for distances and masses.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from kryrank.dirk import get_table
-from kryrank.errors import DimensionMismatch
-from kryrank.heat import build_heat_operator, heat_grid
+from kryrank.errors import DimensionMismatch, SpectralOverlap
+from kryrank.heat import build_heat_operator, heat_grid, heat_initial_condition
 from kryrank.lbfp import (
     benchmark_species,
     build_lbfp_operators,
@@ -212,6 +213,47 @@ class TestDenseDirkStep:
         for name in ("be", "dirk2"):
             with pytest.raises(DimensionMismatch):
                 dense_dirk_step(f0, get_table(name), 0.01, d, d, symmetric=True)
+
+    def test_eigenbasis_step_matches_schur_step_at_benchmark_scale(self):
+        # heat-compare-n256's stage operators: w1_i + w2_j spans [1, ~1600],
+        # so the two paths differ at ~1600 eps relative to the output's max.
+        # Measured against the recursion iteratively refined in extended
+        # precision, the Schur path is the less accurate one (up to 5.4e-12
+        # of the output's max against 5.3e-13 for the eigenbasis); the
+        # pairing is checked at the scale of the step's input, where both
+        # paths' rounding is made.
+        n = 256
+        d = build_heat_operator(n, 0.5, 1.0 / n).dense()
+        dt = 400.0 / n**2
+        f0 = heat_initial_condition(n).materialize()
+        for name in ("be", "dirk2", "dirk3"):
+            table = get_table(name)
+            eig_cache, schur_cache = {}, {}
+            got = want = f0
+            for _ in range(4):
+                got = dense_dirk_step(got, table, dt, d, d, eig_cache, symmetric=True)
+                want = dense_dirk_step(want, table, dt, d, d, schur_cache)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(f0).max(), name
+            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("name", ["be", "dirk2", "dirk3"])
+    def test_overlapping_stage_pair_raises_without_warning(self, name):
+        # a generator with a positive eigenvalue mu = 1/(2 dt a_kk) gives the
+        # stage matrices I/2 - dt a_kk D an eigenvalue at 0 on both sides,
+        # so w1_0 + w2_0 = 1 - dt a_kk (mu + mu) vanishes to rounding
+        rng = np.random.default_rng(76)
+        n, dt = 12, 0.01
+        akk = get_table(name).a[0, 0]
+        mu = -rng.uniform(1.0, 100.0, n)
+        mu[0] = 1.0 / (2.0 * dt * akk)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        d = (q * mu) @ q.T
+        d = 0.5 * (d + d.T)
+        f0 = rng.standard_normal((n, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectralOverlap):
+                dense_dirk_step(f0, get_table(name), dt, d, d, symmetric=True)
 
     def test_backward_euler_mode_amplification(self):
         n = 32
