@@ -76,6 +76,7 @@ from .linalg import (
     reduced_svd,
     solve_sylvester_dense,
     sylvester_schur,
+    symmetric_eigh,
 )
 from .lowrank import (
     LowRankFactors,

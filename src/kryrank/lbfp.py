@@ -54,10 +54,11 @@ class SpeciesConfig:
     drift: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise DimensionMismatch("species mass must be positive")
-        if self.density <= 0 or self.temperature <= 0:
-            raise NonPositiveDiffusion("density and temperature must be positive")
+        # `not 0 < x < inf` rejects NaN too, which a `x <= 0` test lets through
+        if not 0 < self.mass < math.inf:
+            raise DimensionMismatch("species mass must be positive and finite")
+        if not (0 < self.density < math.inf and 0 < self.temperature < math.inf):
+            raise NonPositiveDiffusion("density and temperature must be positive and finite")
 
     @property
     def thermal_speed(self):
@@ -388,7 +389,7 @@ def _direction_operator(grid, dv, pairs, component):
     l = np.zeros(n - 1)
     for pc in pairs:
         d = pc.diffusion
-        if d <= 0:
+        if not d > 0:
             raise NonPositiveDiffusion("pair diffusion must be positive, got %g" % d)
         u = pc.u1 if component == 0 else pc.u2
         drift = faces - u

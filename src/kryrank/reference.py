@@ -10,9 +10,9 @@ the moment system, so the two also differ by Chang-Cooper's energy drift
 
 import numpy as np
 
-from .errors import SpectralOverlap
+from .errors import DimensionMismatch, SpectralOverlap
 from .lbfp import build_lbfp_operators, collision_coefficients, moment_step
-from .linalg import solve_sylvester_dense, sylvester_schur
+from .linalg import eig_denominators, solve_sylvester_dense, sylvester_schur
 
 
 def propagator(d_op, t):
@@ -36,52 +36,57 @@ def heat_reference(f0, d1_op, d2_op, t):
     return propagator(d1_op, t) @ f0 @ propagator(d2_op, t).T
 
 
-def dense_dirk_step(f, table, dt, d1, d2, cache=None, symmetric=False):
+def dense_dirk_step(f, table, dt, d1, d2, cache=None):
     """Full-rank DIRK step on a dense state, mirroring the low-rank stage recursion.
 
-    ``cache`` maps a_kk to the stage matrices I/2 - dt*a_kk*D and their
-    factors; ``ButcherTable`` enforces one a_kk, so a step factors one stage
-    pair.  A caller that keeps d1, d2 and dt fixed may pass one dict to every
-    step to factor the pair once per run; by default it lives for this step
-    only.  Without ``symmetric`` the pair gets real Schur forms and each
-    stage is solved by ``solve_sylvester_dense``'s ``dtrsyl`` back-solve and
-    residual check.
+    ``cache`` maps a_kk to what the stage solves need; ``ButcherTable``
+    enforces one a_kk, so a step factors one stage pair.  A caller that keeps
+    d1, d2 and dt fixed may pass one dict to every step to factor the pair
+    once per run; by default it lives for this step only.
 
-    With ``symmetric`` both stage matrices are diagonalized by ``eigh``
-    (A = Z W Z^T; a matrix that is not exactly symmetric raises
-    DimensionMismatch) and the whole step runs in that eigenbasis: the state
-    moves in once, G = Z1^T F Z2, stage k solves Y_k = B_k / (w1_i + w2_j)
-    elementwise and adds the increment (Y_k - B_k)/a_kk, and the last stage
-    moves out once, Z1 Y_s Z2^T: four n^3 products per step whatever the
-    number of stages.  The overlap guard is the a-priori bound that
-    ``sylvester_schur`` checks when it factors the pair, so no stage divides
-    by a near-zero w1_i + w2_j; a non-finite result raises SpectralOverlap,
-    as the back-solve does.
+    With 2-D generators the stage matrices I/2 - dt*a_kk*D get real Schur
+    forms and each stage is solved by ``solve_sylvester_dense``'s ``dtrsyl``
+    back-solve and residual check.
+
+    With 1-D generators, d1 and d2 are the eigenvalues w of diagonal
+    generators, and f is the state in their eigenbasis: a caller holding
+    symmetric D = Z diag(w) Z^T (``symmetric_eigh``) moves its state in once,
+    G = Z1^T F Z2, steps G, and moves the last state out once, Z1 G Z2^T, so
+    a whole trajectory costs four n^3 products.  The stage denominators
+    (1/2 - dt*a_kk*w1_i) + (1/2 - dt*a_kk*w2_j) are formed once per a_kk,
+    behind ``eig_denominators``' overlap guard, so no stage divides by a
+    near-zero sum (``eigh``'s error in w, scaled by dt*a_kk, stays within
+    the guard's rounding bound when w <= 0, as for heat).  Stage k solves
+    Y_k = B_k / denominators and adds the increment (Y_k - B_k)/a_kk.  A
+    non-finite result raises SpectralOverlap, as the back-solve does.
     """
     cache = {} if cache is None else cache
     akk = table.a[0, 0]
+    if np.ndim(d1) != np.ndim(d2):
+        raise DimensionMismatch("generators must both be 1-D or both 2-D")
+    diagonal = np.ndim(d1) == 1
     if akk not in cache:
-        a1 = 0.5 * np.eye(f.shape[0]) - dt * akk * d1
-        a2 = 0.5 * np.eye(f.shape[1]) - dt * akk * d2
-        cache[akk] = (a1, a2, sylvester_schur(a1, a2, symmetric))
-    a1, a2, schur = cache[akk]
-    if symmetric:
-        w1, z1, w2, z2 = schur
-        denom = w1[:, None] + w2[None, :]
-        f = z1.T @ f @ z2
+        if diagonal:
+            cache[akk] = eig_denominators(0.5 - dt * akk * d1, 0.5 - dt * akk * d2)
+        else:
+            a1 = 0.5 * np.eye(f.shape[0]) - dt * akk * d1
+            a2 = 0.5 * np.eye(f.shape[1]) - dt * akk * d2
+            cache[akk] = (a1, a2, sylvester_schur(a1, a2))
+    stage = cache[akk]
     incs = []
     for k in range(table.stages):
         b = f.copy()
         for l in range(k):
             b += table.a[k, l] * incs[l]
-        yk = b / denom if symmetric else solve_sylvester_dense(a1, a2, b, schur)
+        if diagonal:
+            yk = b / stage
+        else:
+            a1, a2, schur = stage
+            yk = solve_sylvester_dense(a1, a2, b, schur)
         incs.append((yk - b) / akk)
-    if not symmetric:
-        return yk
-    out = z1 @ yk @ z2.T
-    if not np.all(np.isfinite(out)):
+    if diagonal and not np.all(np.isfinite(yk)):
         raise SpectralOverlap("Sylvester solve produced non-finite entries")
-    return out
+    return yk
 
 
 def dense_lbfp_step(states, dense_fs, species, grids, dvs, table, dt):

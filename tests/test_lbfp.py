@@ -163,6 +163,24 @@ class TestSpeciesAndGrid:
         with pytest.raises(NonPositiveDiffusion):
             SpeciesConfig("s", 1.0, 1.0, density=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("mass", math.nan, DimensionMismatch),
+            ("mass", math.inf, DimensionMismatch),
+            ("temperature", math.nan, NonPositiveDiffusion),
+            ("temperature", math.inf, NonPositiveDiffusion),
+            ("density", math.nan, NonPositiveDiffusion),
+            ("density", math.inf, NonPositiveDiffusion),
+        ],
+    )
+    def test_species_rejects_non_finite(self, field, value, error):
+        # a `<= 0` test lets NaN through; YAML input is screened by config,
+        # so this is the Python API's own check
+        kwargs = {"mass": 1.0, "charge": 1.0, field: value}
+        with pytest.raises(error, match="finite"):
+            SpeciesConfig("s", **kwargs)
+
 
 class TestMomentState:
     def test_energy_velocity_temperature_roundtrip(self):
@@ -683,9 +701,12 @@ class TestLbfpOperators:
 
     def test_nonpositive_diffusion_rejected(self):
         grid, dv = velocity_grid(16, 2.0)
-        bad = PairCoefficients(nu=1.0, u1=0.0, u2=0.0, diffusion=-0.5)
-        with pytest.raises(NonPositiveDiffusion):
-            build_lbfp_operators(grid, dv, [bad])
+        # NaN must fail here, naming the value, not later as a non-finite
+        # operator entry
+        for d in (-0.5, 0.0, math.nan):
+            bad = PairCoefficients(nu=1.0, u1=0.0, u2=0.0, diffusion=d)
+            with pytest.raises(NonPositiveDiffusion, match="got %g" % d):
+                build_lbfp_operators(grid, dv, [bad])
 
 
 class TestLomacProject:
