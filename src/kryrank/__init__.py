@@ -92,7 +92,6 @@ from .reference import (
     dense_lbfp_step,
     heat_reference,
     l1_distance,
-    propagator,
 )
 
 __version__ = "0.1.0"

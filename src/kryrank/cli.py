@@ -27,11 +27,11 @@ from .experiments import (
     run_heat_convergence,
     run_lbfp_relax,
 )
-from .heat import build_heat_operator
-from .krylov import solve_adaptive
+from .heat import build_heat_operator, heat_initial_condition
+from .krylov import grow_basis, seed_basis, solve_adaptive
 from .lbfp import chang_cooper_delta
 from .linalg import TridiagonalOperator
-from .lowrank import LowRankFactors, lr_frobenius
+from .lowrank import LowRankFactors, lr_frobenius, spectral_scale, truncate
 
 _RUNNERS = {
     "heat-convergence": run_heat_convergence,
@@ -88,9 +88,7 @@ def _self_check(seed):
         n = 24
         a1 = _random_tridiag(rng, n)
         a2 = _random_tridiag(rng, n)
-        b = LowRankFactors(
-            rng.standard_normal((n, 2)), np.eye(2), rng.standard_normal((n, 2))
-        )
+        b = LowRankFactors(rng.standard_normal((n, 2)), np.eye(2), rng.standard_normal((n, 2)))
         eps = 1e-8 * lr_frobenius(b)
         f, diag = solve_adaptive(a1, a2, b, eps)
         dense = f.materialize()
@@ -101,9 +99,7 @@ def _self_check(seed):
     results.append(("sylvester-residual", worst <= 1e-8, "max rel %.2e" % worst))
     # both residuals round at ~1e-16 ||B||, up to 1e-6 of a converged one
     # (4e-11 ||B|| and up here), so the gap is taken in units of ||B||
-    results.append(
-        ("residual-identity", id_gap <= 1e-12, "max gap %.2e of ||B||" % id_gap)
-    )
+    results.append(("residual-identity", id_gap <= 1e-12, "max gap %.2e of ||B||" % id_gap))
 
     w = rng.uniform(-30.0, 30.0, 64)
     gap = float(np.max(np.abs(chang_cooper_delta(w) + chang_cooper_delta(-w) - 1.0)))
@@ -112,9 +108,7 @@ def _self_check(seed):
     d = build_heat_operator(64, 0.5, 1.0 / 64)
     drift = float(np.max(np.abs(d.apply(np.ones(64)))))
     scale = float(np.max(np.abs(d.dense())))
-    results.append(
-        ("constant-null-mode", drift <= 1e-12 * scale, "max drift %.2e" % drift)
-    )
+    results.append(("constant-null-mode", drift <= 1e-12 * scale, "max drift %.2e" % drift))
 
     # heat's stage operators take the DFT path; its generator is singular
     stage = assemble_stage_operator(d, 1e-3, 0.5)
@@ -125,13 +119,19 @@ def _self_check(seed):
         singular = False
     except SingularOperator:
         singular = True
-    results.append(
-        (
-            "circulant-solve",
-            stage.circulant and err <= 1e-12 and singular,
-            "round trip %.2e, generator %s" % (err, "singular" if singular else "solved"),
-        )
-    )
+    detail = "round trip %.2e, generator %s" % (err, "singular" if singular else "solved")
+    results.append(("circulant-solve", stage.circulant and err <= 1e-12 and singular, detail))
+
+    # a heat stage basis seeded by a converged solve keeps near-rounding
+    # remainders; past rank 100 it stays orthonormal only by BCGS2's 2nd pass
+    stage = assemble_stage_operator(build_heat_operator(128, 0.5, 1.0 / 128), 400.0 / 128**2, 1.0)
+    f, _ = solve_adaptive(stage, stage, heat_initial_condition(128), 1e-10)
+    basis = seed_basis(truncate(f, 1e-10 * spectral_scale(f)).u, orthonormal=True)
+    while basis.rank <= 100:
+        basis = grow_basis(basis, stage)
+    loss = float(np.linalg.norm(basis.q.T @ basis.q - np.eye(basis.rank), 2))
+    detail = "||Q^T Q - I|| %.2e at rank %d" % (loss, basis.rank)
+    results.append(("basis-orthogonality", loss <= 1e-13, detail))
     return results
 
 

@@ -7,7 +7,9 @@ system solved densely.  Writing A Q = Q C + P with P orthogonal to Q on each
 side, the residual of F = U S V^T is the hypot of three orthogonal blocks,
 C_u S + S C_v^T - B~, P_u S and P_v S^T: an exact check at O(n r^2) BLAS-3
 cost per stage, no QR, valid for orthonormal U, V, a twice-projected P and
-seed blocks inside the spans.
+seed blocks inside the spans.  A grown candidate is deflated only when its
+remainder is at rounding level, so no power chain is cut while it still adds
+a direction.
 """
 
 import math
@@ -17,11 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BasisSaturated, DimensionMismatch, MaxIterationsExceeded
-from .linalg import _bcgs2, mgs_qr, solve_sylvester_dense, sylvester_schur
+from .linalg import _EPS, _bcgs2, mgs_qr, solve_sylvester_dense, sylvester_schur
 from .lowrank import LowRankFactors
-
-# relative deflation threshold for new basis columns
-_GROW_DROP = 1e-10
 
 
 @dataclass
@@ -57,10 +56,13 @@ def seed_basis(u0, orthonormal=False):
 def grow_basis(basis, op):
     """Extend the basis by one block of A-images and one of A^{-1}-images.
 
-    The candidates are orthonormalized against the basis by ``_bcgs2``; a
-    candidate is deflated when its remainder drops below 1e-10 of its
-    incoming norm, and at most n columns in total are kept.  Raises
-    BasisSaturated when nothing survives.
+    The candidates are orthonormalized against the basis by ``_bcgs2``, and a
+    candidate c is deflated only at rounding level: when its remainder is at
+    most n*eps*||c||, the rounding bound of the first projection's n-term
+    inner products, all that a candidate inside span(Q) leaves.  A larger
+    remainder is a direction, with its power chain, that later rounds need,
+    and ``_bcgs2``'s second pass keeps it orthonormal to Q.  At most n columns
+    in total are kept.  Raises BasisSaturated when nothing survives.
     """
     n = basis.q.shape[0]
     if basis.rank >= n:
@@ -74,7 +76,7 @@ def grow_basis(basis, op):
         cand[:, :nf] = op.apply(basis.fwd_block)
     if ni:
         cand[:, nf:] = op.solve(basis.inv_block)
-    drop = _GROW_DROP * np.linalg.norm(cand, axis=0)
+    drop = n * _EPS * np.linalg.norm(cand, axis=0)
     new, accepted = _bcgs2(basis.q, cand, drop, n - basis.rank)
     if not accepted:
         raise BasisSaturated("no candidate column survived deflation")

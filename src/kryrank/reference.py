@@ -1,11 +1,13 @@
 """Dense reference pipelines used for validation and timing baselines.
 
-These run the same stage algebra as the low-rank path but on full matrices,
-with no basis compression anywhere.  For heat, discrepancies therefore
-isolate the low-rank approximation itself.  For lbfp they do not: the dense
-step applies no LoMaC moment pin, while ``lbfp_step`` pins each species to
-the moment system, so the two also differ by Chang-Cooper's energy drift
-(second order in dv), which the pin removes from the low-rank path only.
+Heat's exact solution is taken in the real DFT basis that diagonalizes its
+circulant generators.  The dense steps run the same stage algebra as the
+low-rank path but on full matrices, with no basis compression anywhere.  For
+heat, discrepancies therefore isolate the low-rank approximation itself.  For
+lbfp they do not: the dense step applies no LoMaC moment pin, while
+``lbfp_step`` pins each species to the moment system, so the two also differ
+by Chang-Cooper's energy drift (second order in dv), which the pin removes
+from the low-rank path only.
 """
 
 import numpy as np
@@ -15,25 +17,18 @@ from .lbfp import build_lbfp_operators, collision_coefficients, moment_step
 from .linalg import eig_denominators, solve_sylvester_dense, sylvester_schur
 
 
-def propagator(d_op, t):
-    """Dense e^{tD}; eigendecomposition when D is symmetric, expm otherwise.
-
-    The branch follows ``d_op.symmetric``, which is exact: an operator whose
-    asymmetry is merely small still goes to ``expm``, since ``eigh`` would
-    read one triangle and drop it.
-    """
-    dense = d_op.dense()
-    if d_op.symmetric:
-        lam, q = np.linalg.eigh(dense)
-        return (q * np.exp(t * lam)) @ q.T
-    import scipy.linalg
-
-    return scipy.linalg.expm(t * dense)
-
-
 def heat_reference(f0, d1_op, d2_op, t):
-    """Exact semi-discrete solution e^{tD1} F0 e^{tD2}^T as a dense array."""
-    return propagator(d1_op, t) @ f0 @ propagator(d2_op, t).T
+    """Exact semi-discrete solution e^{tD1} F0 e^{tD2}^T as a dense array.
+
+    Heat's generators are circulant, so e^{tD} x = irfft(e^{t w} rfft(x)), w =
+    ``circulant_spectrum`` (complex if D is not symmetric): O(n^2 log n) for
+    F0's columns and rows.  A non-circulant generator raises DimensionMismatch.
+    """
+    if np.shape(f0) != (d1_op.n, d2_op.n):
+        raise DimensionMismatch("F0 must be %d x %d, got %s" % (d1_op.n, d2_op.n, np.shape(f0)))
+    w1, w2 = d1_op.circulant_spectrum(), d2_op.circulant_spectrum()
+    g = np.fft.irfft(np.exp(t * w1)[:, None] * np.fft.rfft(f0, axis=0), d1_op.n, axis=0)
+    return np.fft.irfft(np.fft.rfft(g, axis=1) * np.exp(t * w2), d2_op.n, axis=1)
 
 
 def dense_dirk_step(f, table, dt, d1, d2, cache=None):

@@ -97,7 +97,7 @@ class TestValidate:
         assert "time.lambda = 50, 100" in out
         assert "seed = 0" in out
 
-    def test_runs_all_five_self_checks(self, tmp_path, capsys):
+    def test_runs_all_six_self_checks(self, tmp_path, capsys):
         rc = main(["validate", heat_cfg(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
@@ -107,6 +107,7 @@ class TestValidate:
             "flux-weight-identity",
             "constant-null-mode",
             "circulant-solve",
+            "basis-orthogonality",
         ):
             line = [l for l in out.splitlines() if l.startswith("self-check " + name)]
             assert len(line) == 1

@@ -254,6 +254,71 @@ class TestBasisGrowth:
             grow_basis(grown, diagonal_op(d))
 
 
+@pytest.fixture(scope="module")
+def slow_heat_step():
+    """Stage pair, state and tolerance at step 35 of the seed-0 heat benchmark.
+
+    heat-convergence, dirk2, n=512, lambda=400, LoMaC at eps_rel 1e-10: steps
+    35-48 took 8-12 growth rounds each while ``grow_basis`` deflated every
+    candidate whose remainder fell below 1e-10 of its norm.
+    """
+    from kryrank.dirk import assemble_stage_operator, dirk_step, get_table
+    from kryrank.heat import (
+        build_heat_operator,
+        discrete_mass,
+        heat_grid,
+        heat_initial_condition,
+        lomac_null_correction,
+    )
+    from kryrank.lowrank import spectral_scale
+
+    n = 512
+    _, dx = heat_grid(n)
+    d = build_heat_operator(n, 0.5, dx)
+    table = get_table("dirk2")
+    dt = 400.0 * dx * dx
+    tol = lte_tolerance(1e-3, dt, table.order)
+    f = heat_initial_condition(n)
+    mass = discrete_mass(f, dx, dx)
+
+    def post(g):
+        return lomac_null_correction(g, mass, dx, dx, 1e-10 * spectral_scale(g))
+
+    for _ in range(35):
+        f, _diag = dirk_step(f, table, dt, (d, d), tol, post_process=post)
+    stage = assemble_stage_operator(d, dt, table.a[0, 0])
+    return (stage, stage), f, tol, table, post
+
+
+class TestRoundingLevelDeflation:
+    """``grow_basis`` keeps every candidate whose remainder is above rounding."""
+
+    def test_slow_heat_steps_converge_in_one_or_two_rounds(self, slow_heat_step):
+        ops, f, tol, table, post = slow_heat_step
+        rounds = []
+        for _step in range(35, 49):
+            u, cores, v, diag = krylov.adaptive_stage_solve(ops, f, tol, table.a)
+            assert len(diag.stage_residuals) == table.stages
+            assert max(diag.stage_residuals) < tol
+            rounds.append(diag.iterations)
+            f = post(LowRankFactors(u, cores[-1], v, orthonormal=True))
+        # measured: one round in each of these steps, 8-12 under 1e-10
+        assert max(rounds) <= 2, rounds
+
+    def test_growth_past_rank_100_stays_orthonormal(self, slow_heat_step):
+        ops, f, _tol, _table, _post = slow_heat_step
+        basis = seed_basis(f.u, orthonormal=True)
+        grown = grow_basis(basis, ops[0])
+        # 11 of the 12 first candidates carry a remainder above rounding, 5 of
+        # them below 1e-10 of their norm
+        assert grown.rank - basis.rank >= 10
+        while grown.rank <= 100:
+            grown = grow_basis(grown, ops[0])
+        loss = np.linalg.norm(grown.q.T @ grown.q - np.eye(grown.rank), 2)
+        # measured 3.2e-15 at rank 127; one Gram-Schmidt pass leaves O(1)
+        assert loss <= 1e-13
+
+
 COLUMN_KINDS = ("random", "duplicate", "zero", "near")
 
 
@@ -331,9 +396,10 @@ class TestBlockGramSchmidtProperties:
         nf = int(rng.integers(cand.shape[1] + 1))
         d = rng.uniform(1.0, 2.0, n)
         basis = staged_basis(q, cand[:, :nf], cand[:, nf:], d)
-        # a candidate survives when its remainder exceeds 1e-10 of its norm;
-        # the column kinds keep every remainder far from that threshold
-        outside = span_remainders(q, cand) > 1e-10 * np.linalg.norm(cand, axis=0)
+        # a candidate survives when its remainder exceeds n * eps of its norm
+        # (rounding level); the column kinds keep every remainder far from it
+        drop = n * np.finfo(float).eps * np.linalg.norm(cand, axis=0)
+        outside = span_remainders(q, cand) > drop
         try:
             grown = grow_basis(basis, diagonal_op(d))
         except BasisSaturated:
@@ -348,7 +414,7 @@ class TestBlockGramSchmidtProperties:
         assert grown.fwd_block.shape[1] <= nf
         assert grown.inv_block.shape[1] <= cand.shape[1] - nf
         remainders = span_remainders(grown.q, cand)
-        assert np.all(remainders <= 1e-10 * np.linalg.norm(cand, axis=0) + 1e-13)
+        assert np.all(remainders <= drop + 1e-13)
 
 
 class TestGalerkinAssembly:

@@ -272,6 +272,26 @@ class TestTridiagonalOperator:
         assert got.shape == b.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_circulant_spectrum_matches_dense_eigenvalues(self):
+        # the spectrum solves and propagates: A x = irfft(w * rfft(x)), and
+        # the eigenvalues of the dense matrix are w and its conjugates
+        rng = np.random.default_rng(14)
+        for n in (3, 8, 17):
+            for symmetric in (True, False):
+                op = random_circulant(rng, n, symmetric)
+                w = op.circulant_spectrum()
+                assert w.shape == (n // 2 + 1,)
+                x = rng.standard_normal((n, 2))
+                got = np.fft.irfft(w[:, None] * np.fft.rfft(x, axis=0), n, axis=0)
+                assert np.abs(got - op.apply(x)).max() <= 1e-13 * np.abs(op.apply(x)).max()
+                full = np.concatenate([w, np.conj(w[1 : (n + 1) // 2][::-1])])
+                want = np.linalg.eigvals(op.dense())
+                for lam in want:
+                    assert np.abs(full - lam).min() <= 1e-12 * np.abs(want).max()
+        lbfp_like = TridiagonalOperator(np.full(8, -2.0), np.ones(7), np.ones(7))
+        with pytest.raises(DimensionMismatch, match="not circulant"):
+            lbfp_like.circulant_spectrum()
+
     @pytest.mark.parametrize("n", [8, 64, 512])
     def test_periodic_null_mode_raises(self, n):
         # the smallest DFT eigenvalue of the null mode sits at rounding level, not at zero

@@ -1,9 +1,10 @@
-"""Dense validation pipelines: matrix exponentials, full-rank stage stepping,
-and blockwise L1 distances.
+"""Dense validation pipelines: the exact heat propagator, full-rank stage
+stepping, and blockwise L1 distances.
 
-Oracles: exact circulant eigenvalue decay for trig modes, the semigroup
-identity for the exponential, a vectorized Kronecker linear solve replaying
-the stage recursion, and plain dense arithmetic for distances and masses.
+Oracles: exact circulant eigenvalue decay for trig modes, scipy's ``expm``
+of the dense generators and the semigroup identity for the propagator, a
+vectorized Kronecker linear solve replaying the stage recursion, and plain
+dense arithmetic for distances and masses.
 """
 
 import math
@@ -31,7 +32,6 @@ from kryrank.reference import (
     dense_lbfp_step,
     heat_reference,
     l1_distance,
-    propagator,
 )
 
 
@@ -68,49 +68,85 @@ def lbfp_operator(n):
     return build_lbfp_operators(system.grids[0], system.dvs[0], coeffs[0])[0]
 
 
+def expm_reference(f0, d1, d2, t):
+    """e^{tD1} F0 e^{tD2}^T from scipy's dense ``expm``, independent of the DFT."""
+    return scipy.linalg.expm(t * d1.dense()) @ f0 @ scipy.linalg.expm(t * d2.dense()).T
+
+
+def advection_diffusion_operator(n, dcoef, vel):
+    """Non-symmetric circulant: periodic diffusion plus central advection."""
+    dx = 1.0 / n
+    lo = dcoef / dx**2 + vel / (2.0 * dx)
+    up = dcoef / dx**2 - vel / (2.0 * dx)
+    return TridiagonalOperator(
+        np.full(n, -2.0 * dcoef / dx**2), np.full(n - 1, lo), np.full(n - 1, up),
+        corner_upper=lo, corner_lower=up,
+    )
+
+
 class TestPropagator:
+    """``heat_reference`` as the exact propagator e^{tD1} F0 e^{tD2}^T."""
+
     def test_identity_at_zero(self):
+        rng = np.random.default_rng(61)
         d = build_heat_operator(32, 0.5, 1.0 / 32)
-        assert np.abs(propagator(d, 0.0) - np.eye(32)).max() <= 1e-13
+        f0 = rng.standard_normal((32, 32))
+        assert np.abs(heat_reference(f0, d, d, 0.0) - f0).max() <= 1e-13 * np.abs(f0).max()
 
     def test_trig_mode_decay(self):
+        # the constant is D's null mode, so the columns alone decay
         n = 64
         d = build_heat_operator(n, 0.5, 1.0 / n)
         x, _ = heat_grid(n)
         for k in (1, 3, 7):
             mode = np.sin(2.0 * np.pi * k * x)
             mu = circulant_eigenvalue(k, n, 0.5)
-            out = propagator(d, 0.005) @ mode
-            assert np.abs(out - math.exp(0.005 * mu) * mode).max() <= 1e-11
+            out = heat_reference(np.outer(mode, np.ones(n)), d, d, 0.005)
+            assert np.abs(out - math.exp(0.005 * mu) * np.outer(mode, np.ones(n))).max() <= 1e-11
 
-    def test_symmetric_route_matches_expm(self):
-        d = build_heat_operator(48, 0.5, 1.0 / 48)
-        got = propagator(d, 0.01)
-        want = scipy.linalg.expm(0.01 * d.dense())
+    def test_symmetric_circulant_matches_expm(self):
+        rng = np.random.default_rng(63)
+        d1 = build_heat_operator(48, 0.5, 1.0 / 48)
+        d2 = build_heat_operator(40, 0.3, 1.0 / 40)
+        f0 = rng.standard_normal((48, 40))
+        got = heat_reference(f0, d1, d2, 0.01)
+        want = expm_reference(f0, d1, d2, 0.01)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_near_symmetric_operator_is_bitwise_expm(self):
-        # asymmetry far below any tolerance test still goes to expm: eigh
-        # would read one triangle and drop it
-        d = build_heat_operator(24, 0.5, 1.0 / 24)
-        op = TridiagonalOperator(
-            d.diag, d.lower * (1.0 + 1e-14), d.upper,
-            corner_upper=d.corner_upper * (1.0 + 1e-14), corner_lower=d.corner_lower,
-        )
-        assert op.circulant and not op.symmetric
-        dense = op.dense()
-        assert 0.0 < np.abs(dense - dense.T).max() <= 1e-13 * np.abs(dense).max()
-        got = propagator(op, 0.01)
-        assert np.array_equal(got, scipy.linalg.expm(0.01 * dense))
+    def test_nonsymmetric_circulant_matches_expm(self):
+        # a non-symmetric circulant has a complex spectrum; a wrong sign or
+        # conjugation in the spectrum would propagate the transposed generator
+        rng = np.random.default_rng(65)
+        d1 = advection_diffusion_operator(24, 0.5, 20.0)
+        d2 = advection_diffusion_operator(31, 0.2, -15.0)
+        assert d1.circulant and not d1.symmetric and not d2.symmetric
+        f0 = rng.standard_normal((24, 31))
+        got = heat_reference(f0, d1, d2, 0.01)
+        want = expm_reference(f0, d1, d2, 0.01)
+        transposed = heat_reference(f0.T, d2, d1, 0.01).T
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(transposed - want).max() <= 1e-12 * np.abs(want).max()
+        swapped = expm_reference(f0, advection_diffusion_operator(24, 0.5, -20.0), d2, 0.01)
+        assert np.abs(got - swapped).max() > 1e-3 * np.abs(want).max()
 
     def test_nonsymmetric_semigroup(self):
+        rng = np.random.default_rng(67)
+        d1 = advection_diffusion_operator(48, 0.5, 30.0)
+        d2 = build_heat_operator(48, 0.5, 1.0 / 48)
+        f0 = rng.standard_normal((48, 48))
+        p3 = heat_reference(f0, d1, d2, 0.005)
+        p12 = heat_reference(heat_reference(f0, d1, d2, 0.002), d1, d2, 0.003)
+        assert np.abs(p12 - p3).max() <= 1e-12 * np.abs(p3).max()
+
+    def test_noncirculant_generator_rejected(self):
         op = lbfp_operator(48)
-        dense = op.dense()
-        assert np.abs(dense - dense.T).max() > 1e-6 * np.abs(dense).max()
-        p1 = propagator(op, 0.3)
-        p2 = propagator(op, 0.2)
-        p3 = propagator(op, 0.5)
-        assert np.abs(p1 @ p2 - p3).max() <= 1e-12 * np.abs(p3).max()
+        d = build_heat_operator(48, 0.5, 1.0 / 48)
+        with pytest.raises(DimensionMismatch, match="not circulant"):
+            heat_reference(np.ones((48, 48)), op, d, 0.1)
+        with pytest.raises(DimensionMismatch, match="not circulant"):
+            heat_reference(np.ones((48, 48)), d, op, 0.1)
+        with pytest.raises(DimensionMismatch, match="F0 must be"):
+            heat_reference(np.ones((48, 40)), d, d, 0.1)
 
 
 class TestHeatReference:
