@@ -76,7 +76,6 @@ from .linalg import (
     reduced_svd,
     solve_sylvester_dense,
     sylvester_schur,
-    symmetric_eigh,
 )
 from .lowrank import (
     LowRankFactors,
@@ -88,6 +87,7 @@ from .lowrank import (
     truncate,
 )
 from .reference import (
+    circulant_eigenbasis,
     dense_dirk_step,
     dense_lbfp_step,
     heat_reference,

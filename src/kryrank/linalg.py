@@ -18,7 +18,7 @@ as immutable after construction; ``scaled_shifted`` keeps its last result, so
 a stage operator rebuilt each step is factorized once.
 The dense Sylvester solve is Bartels-Stewart split into ``sylvester_schur`` (the
 O(n^3) Schur forms, shareable) and a per-right-hand-side back-solve; a pair
-declared symmetric is diagonalized by ``symmetric_eigh`` instead, and the
+declared symmetric is diagonalized by ``eigh`` instead, and the
 back-solve is then one elementwise division.  Near-overlapping spectra raise
 SpectralOverlap: the Schur back-solve checks its residual against 1e-6 of
 the right-hand side after each solve, while the symmetric path checks once,
@@ -321,34 +321,16 @@ def reduced_svd(s):
     return u, sig, vt.T
 
 
-def symmetric_eigh(a):
-    """(w, Z) with A = Z diag(w) Z^T, by ``eigh``, for an exactly symmetric A.
-
-    ``eigh`` reads one triangle only, so a matrix that is not exactly
-    symmetric raises DimensionMismatch rather than being diagonalized as the
-    symmetric matrix its triangle describes.  A failed or non-finite
-    decomposition raises SpectralOverlap, as a failed Schur form does.
-    """
-    if not np.array_equal(a, np.transpose(a), equal_nan=True):
-        raise DimensionMismatch("symmetric factorization of a non-symmetric matrix")
-    try:
-        w, z = np.linalg.eigh(a)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise SpectralOverlap("Sylvester solve failed: %s" % exc) from exc
-    if not np.all(np.isfinite(w)):
-        raise SpectralOverlap("Sylvester solve failed: non-finite eigenvalues")
-    return w, z
-
-
 def eig_denominators(w1, w2):
     """w1_i + w2_j as an (m, k) array, the back-solve's divisors on eigen factors.
 
     This is where the eigen path's overlap guard lives.  With orthogonal Z,
     X = Z1 (F / (w1_i + w2_j)) Z2^T has ||X|| <= ||B|| / sep,
-    sep = min |w1_i + w2_j|, and ``eigh``'s backward error of order
-    max(m, k) eps max|w| per side then bounds the relative residual of the
-    back-solve by max(m, k) eps (max|w1| + max|w2|) / sep, up to the modest
-    constant of that backward error.  SpectralOverlap is raised unless this
+    sep = min |w1_i + w2_j|, and a backward error in w of order
+    max(m, k) eps max|w| per side (``eigh``'s; a circulant's DFT spectrum
+    is closer) then bounds the relative residual of the back-solve by
+    max(m, k) eps (max|w1| + max|w2|) / sep, up to the modest constant of
+    that backward error.  SpectralOverlap is raised unless this
     bound is at most 1e-6, the level of the residual check that the Schur
     back-solve keeps: an O(mk) test, once per factorization, that rejects
     every pair whose back-solve could miss that level, so it is at least as
@@ -369,19 +351,31 @@ def eig_denominators(w1, w2):
 def sylvester_schur(a1, a2, symmetric=False):
     """Factor half of a Sylvester solve: (T1, Z1, T2, Z2) with A = Z T Z^T.
 
-    With ``symmetric`` both sides are diagonalized by ``symmetric_eigh``, and
-    each T is the 1-D array of eigenvalues; the pair must then pass
-    ``eig_denominators``' overlap guard.  Otherwise both get their real Schur
-    forms, and the back-solve checks its residual instead.
+    With ``symmetric`` both sides are diagonalized by ``eigh``, and each T is
+    the 1-D array of eigenvalues; the pair must then pass
+    ``eig_denominators``' overlap guard.  ``eigh`` reads one triangle only,
+    so a side that is not exactly symmetric raises DimensionMismatch rather
+    than being diagonalized as the symmetric matrix its triangle describes.
+    Otherwise both sides get their real Schur forms, and the back-solve
+    checks its residual instead.  A failed or non-finite factorization
+    raises SpectralOverlap.
     """
+    factors = []
     if symmetric:
-        w1, z1 = symmetric_eigh(a1)
-        w2, z2 = symmetric_eigh(a2)
-        eig_denominators(w1, w2)
-        return w1, z1, w2, z2
+        for a in (a1, a2):
+            if not np.array_equal(a, np.transpose(a), equal_nan=True):
+                raise DimensionMismatch("symmetric factorization of a non-symmetric matrix")
+            try:
+                w, z = np.linalg.eigh(a)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                raise SpectralOverlap("Sylvester solve failed: %s" % exc) from exc
+            if not np.all(np.isfinite(w)):
+                raise SpectralOverlap("Sylvester solve failed: non-finite eigenvalues")
+            factors += (w, z)
+        eig_denominators(factors[0], factors[2])
+        return tuple(factors)
     import scipy.linalg
 
-    factors = []
     try:
         for a in (a1, a2):
             factors += scipy.linalg.schur(a, output="real")

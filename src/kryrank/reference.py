@@ -1,10 +1,12 @@
 """Dense reference pipelines used for validation and timing baselines.
 
 Heat's exact solution is taken in the real DFT basis that diagonalizes its
-circulant generators.  The dense steps run the same stage algebra as the
-low-rank path but on full matrices, with no basis compression anywhere.  For
-heat, discrepancies therefore isolate the low-rank approximation itself.  For
-lbfp they do not: the dense step applies no LoMaC moment pin, while
+circulant generators, and its dense trajectory is stepped in their real
+Hartley basis, built from the same FFT.  The dense steps run the same stage
+algebra as the low-rank path but on full matrices, with no basis
+compression anywhere.  For heat, discrepancies therefore isolate the
+low-rank approximation itself.  For lbfp they do not: the dense step
+applies no LoMaC moment pin, while
 ``lbfp_step`` pins each species to the moment system, so the two also differ
 by Chang-Cooper's energy drift (second order in dv), which the pin removes
 from the low-rank path only.
@@ -31,6 +33,30 @@ def heat_reference(f0, d1_op, d2_op, t):
     return np.fft.irfft(np.fft.rfft(g, axis=1) * np.exp(t * w2), d2_op.n, axis=1)
 
 
+def circulant_eigenbasis(f, d1_op, d2_op):
+    """((w1, w2), Z1^T F Z2) for symmetric circulant D = Z diag(w) Z^T.
+
+    Z is the discrete Hartley basis cas(2 pi j k / n) / sqrt(n), cas = cos +
+    sin (Bracewell, JOSA 73 (1983)): real, symmetric and orthogonal, so Z^T
+    = Z = Z^-1 and a second call moves a state back out.  Each axis costs one
+    ``fft`` with the real part minus the imaginary part, O(n^2 log n) for F.
+    Column k of Z mixes the DFT modes k and n-k, which share the eigenvalue
+    ``circulant_spectrum``[min(k, n-k)] only when D is symmetric, so a
+    non-symmetric or non-circulant generator raises DimensionMismatch.
+    """
+    if np.shape(f) != (d1_op.n, d2_op.n):
+        raise DimensionMismatch("F must be %d x %d, got %s" % (d1_op.n, d2_op.n, np.shape(f)))
+    ws = []
+    for axis, op in enumerate((d1_op, d2_op)):
+        if not op.symmetric:
+            raise DimensionMismatch("the Hartley basis diagonalizes symmetric circulants only")
+        w = op.circulant_spectrum().real
+        ws.append(np.concatenate([w, w[1 : (op.n + 1) // 2][::-1]]))
+        h = np.fft.fft(f, axis=axis, norm="ortho")
+        f = h.real - h.imag
+    return tuple(ws), f
+
+
 def dense_dirk_step(f, table, dt, d1, d2, cache=None):
     """Full-rank DIRK step on a dense state, mirroring the low-rank stage recursion.
 
@@ -45,21 +71,34 @@ def dense_dirk_step(f, table, dt, d1, d2, cache=None):
 
     With 1-D generators, d1 and d2 are the eigenvalues w of diagonal
     generators, and f is the state in their eigenbasis: a caller holding
-    symmetric D = Z diag(w) Z^T (``symmetric_eigh``) moves its state in once,
-    G = Z1^T F Z2, steps G, and moves the last state out once, Z1 G Z2^T, so
-    a whole trajectory costs four n^3 products.  The stage denominators
+    symmetric D = Z diag(w) Z^T moves its state in once, G = Z1^T F Z2,
+    steps G, and moves the last state out once, Z1 G Z2^T (for heat,
+    ``circulant_eigenbasis`` does both moves in O(n^2 log n), so a
+    trajectory does no n^3 work).  The stage denominators
     (1/2 - dt*a_kk*w1_i) + (1/2 - dt*a_kk*w2_j) are formed once per a_kk,
     behind ``eig_denominators``' overlap guard, so no stage divides by a
-    near-zero sum (``eigh``'s error in w, scaled by dt*a_kk, stays within
-    the guard's rounding bound when w <= 0, as for heat).  Stage k solves
-    Y_k = B_k / denominators and adds the increment (Y_k - B_k)/a_kk.  A
-    non-finite result raises SpectralOverlap, as the back-solve does.
+    near-zero sum (the rounding error in w, scaled by dt*a_kk, stays within
+    the guard's bound when w <= 0, as for heat).  Stage k solves
+    Y_k = B_k / denominators and adds the increment (Y_k - B_k)/a_kk, O(n^2)
+    per stage.  A non-finite result raises SpectralOverlap, as the
+    back-solve does.
+
+    A state whose shape does not match the generators' sizes, or a 2-D
+    generator that is not square, raises DimensionMismatch.
     """
     cache = {} if cache is None else cache
     akk = table.a[0, 0]
     if np.ndim(d1) != np.ndim(d2):
         raise DimensionMismatch("generators must both be 1-D or both 2-D")
     diagonal = np.ndim(d1) == 1
+    shape = np.shape(f)
+    if len(shape) != 2 or any(
+        np.shape(d) != (n,) * np.ndim(d) for d, n in zip((d1, d2), shape)
+    ):
+        raise DimensionMismatch(
+            "state %s does not match generators %s and %s"
+            % (shape, np.shape(d1), np.shape(d2))
+        )
     if akk not in cache:
         if diagonal:
             cache[akk] = eig_denominators(0.5 - dt * akk * d1, 0.5 - dt * akk * d2)
@@ -78,7 +117,11 @@ def dense_dirk_step(f, table, dt, d1, d2, cache=None):
         else:
             a1, a2, schur = stage
             yk = solve_sylvester_dense(a1, a2, b, schur)
-        incs.append((yk - b) / akk)
+        # in b's buffer: a fresh n x n array per stage faults in new pages,
+        # which at n = 256 costs about as much as the stage itself
+        np.subtract(yk, b, out=b)
+        b /= akk
+        incs.append(b)
     if diagonal and not np.all(np.isfinite(yk)):
         raise SpectralOverlap("Sylvester solve produced non-finite entries")
     return yk

@@ -400,6 +400,19 @@ class TestCompare:
             # low-rank truncation, so the ratio stays at or below one
             assert 0.0 < float(cells[4]) <= 1.0 + 1e-9
 
+    def test_dense_run_lands_on_the_steady_state(self, tmp_path):
+        # criterion 04's config: by t = 5 only the mean is left, which the
+        # Hartley basis carries in one real mode with a zero eigenvalue
+        body = (
+            "kind: heat-convergence\nintegrator: be\ngrid:\n  n: 64\n"
+            "truncation:\n  eps_rel: 1e-6\n"
+            "time:\n  t_final: 5.0\n  lambda: [400]\nlomac: true\n"
+            "output: %s\n" % (tmp_path / "out")
+        )
+        assert main(["compare", write_cfg(tmp_path, body)]) == 0
+        _, rows, _ = read_csv(tmp_path / "out" / "paired_errors.csv")
+        assert float(rows[0].split(",")[3]) <= 1e-15
+
     def test_rejects_non_heat_config(self, tmp_path, capsys):
         rc = main(["compare", lbfp_cfg(tmp_path)])
         assert rc == 2

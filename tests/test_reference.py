@@ -25,9 +25,10 @@ from kryrank.lbfp import (
     lbfp_step,
     moment_step,
 )
-from kryrank.linalg import TridiagonalOperator, symmetric_eigh
+from kryrank.linalg import TridiagonalOperator, sylvester_schur
 from kryrank.lowrank import LowRankFactors
 from kryrank.reference import (
+    circulant_eigenbasis,
     dense_dirk_step,
     dense_lbfp_step,
     heat_reference,
@@ -170,6 +171,47 @@ class TestHeatReference:
         assert abs(out.sum() - f0.sum()) <= 1e-11 * np.abs(f0).sum()
 
 
+class TestCirculantEigenbasis:
+    """``circulant_eigenbasis``: the real Hartley basis of symmetric circulants."""
+
+    def test_diagonalizes_heat_generators(self):
+        # Z1^T (D1 F + F D2^T) Z2 = (w1_i + w2_j) Z1^T F Z2 on odd and even n,
+        # with D applied by its own tridiagonal product
+        rng = np.random.default_rng(81)
+        sizes = (3, 8, 17, 33)
+        for n1 in sizes:
+            for n2 in sizes:
+                d1 = build_heat_operator(n1, 0.5, 1.0 / n1)
+                d2 = build_heat_operator(n2, 0.2, 1.0 / n2)
+                f = rng.standard_normal((n1, n2))
+                (w1, w2), g = circulant_eigenbasis(f, d1, d2)
+                _, got = circulant_eigenbasis(d1.apply(f) + d2.apply(f.T).T, d1, d2)
+                want = (w1[:, None] + w2[None, :]) * g
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (n1, n2)
+
+    def test_is_an_orthogonal_involution(self):
+        rng = np.random.default_rng(82)
+        for n1, n2 in ((3, 8), (17, 33), (256, 256)):
+            d1 = build_heat_operator(n1, 0.5, 1.0 / n1)
+            d2 = build_heat_operator(n2, 0.2, 1.0 / n2)
+            f = rng.standard_normal((n1, n2))
+            _, g = circulant_eigenbasis(f, d1, d2)
+            _, back = circulant_eigenbasis(g, d1, d2)
+            assert abs(np.linalg.norm(g) - np.linalg.norm(f)) <= 1e-14 * np.linalg.norm(f)
+            assert np.abs(back - f).max() <= 1e-14 * np.abs(f).max(), (n1, n2)
+
+    def test_rejects_nonsymmetric_or_noncirculant_generator(self):
+        n = 16
+        d = build_heat_operator(n, 0.5, 1.0 / n)
+        symmetric_banded = TridiagonalOperator(np.full(n, -2.0), np.ones(n - 1), np.ones(n - 1))
+        for bad in (advection_diffusion_operator(n, 0.5, 20.0), lbfp_operator(n), symmetric_banded):
+            for pair in ((bad, d), (d, bad)):
+                with pytest.raises(DimensionMismatch):
+                    circulant_eigenbasis(np.ones((n, n)), *pair)
+        with pytest.raises(DimensionMismatch, match="F must be"):
+            circulant_eigenbasis(np.ones((n, 8)), d, d)
+
+
 class TestDenseDirkStep:
     def test_matches_kronecker_recursion(self):
         rng = np.random.default_rng(71)
@@ -213,25 +255,23 @@ class TestDenseDirkStep:
             assert len(cache) == len(set(np.diag(table.a)))
 
     def test_symmetric_matches_kronecker_recursion(self):
-        # symmetric generators stepped in their eigenbasis (1-D generators)
+        # symmetric generators stepped in their Hartley basis (1-D generators)
         rng = np.random.default_rng(74)
-        n = 20
-        d1 = build_heat_operator(n, 0.5, 1.0 / n).dense()
-        d2 = build_heat_operator(n, 0.2, 1.0 / n).dense()
-        (w1, z1), (w2, z2) = symmetric_eigh(d1), symmetric_eigh(d2)
-        f0 = rng.standard_normal((n, n))
+        d1 = build_heat_operator(20, 0.5, 1.0 / 20)
+        d2 = build_heat_operator(15, 0.2, 1.0 / 15)
+        f0 = rng.standard_normal((20, 15))
         for name in ("be", "dirk2", "dirk3"):
             table = get_table(name)
-            g = dense_dirk_step(z1.T @ f0 @ z2, table, 0.01, w1, w2)
-            got = z1 @ g @ z2.T
-            want = kron_stage_recursion(f0, table, 0.01, d1, d2)
+            (w1, w2), g = circulant_eigenbasis(f0, d1, d2)
+            got = circulant_eigenbasis(dense_dirk_step(g, table, 0.01, w1, w2), d1, d2)[1]
+            want = kron_stage_recursion(f0, table, 0.01, d1.dense(), d2.dense())
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
 
     def test_symmetric_shared_cache_is_bitwise_uncached(self):
         rng = np.random.default_rng(75)
         n = 16
-        w1 = symmetric_eigh(build_heat_operator(n, 0.5, 1.0 / n).dense())[0]
-        w2 = symmetric_eigh(build_heat_operator(n, 0.2, 1.0 / n).dense())[0]
+        w1 = np.linalg.eigvalsh(build_heat_operator(n, 0.5, 1.0 / n).dense())
+        w2 = np.linalg.eigvalsh(build_heat_operator(n, 0.2, 1.0 / n).dense())
         g0 = rng.standard_normal((n, n))
         for name in ("be", "dirk2", "dirk3"):
             table = get_table(name)
@@ -246,38 +286,48 @@ class TestDenseDirkStep:
             # the cache holds each a_kk's stage divisors, one per entry of G
             assert all(entry.shape == (n, n) for entry in cache.values())
 
-    def test_symmetric_eigh_rejects_nonsymmetric_operator(self):
+    def test_symmetric_factorization_rejects_nonsymmetric_operator(self):
         # the eigenbasis is only taken of exactly symmetric generators
         d = lbfp_operator(16).dense()
         with pytest.raises(DimensionMismatch):
-            symmetric_eigh(d)
+            sylvester_schur(d, d, symmetric=True)
         w = np.ones(16)
         with pytest.raises(DimensionMismatch):
             dense_dirk_step(np.ones((16, 16)), get_table("be"), 0.01, w, d)
 
+    def test_state_shape_must_match_generators(self):
+        # a (1, 8) state would broadcast against 8 eigenvalues to (8, 8)
+        d = build_heat_operator(8, 0.5, 1.0 / 8).dense()
+        w = np.linalg.eigvalsh(d)
+        cases = [((1, 8), w, w), ((8, 6), w, w), ((8, 6), d, d), ((8, 8), d, d[:, :7])]
+        for shape, d1, d2 in cases:
+            with pytest.raises(DimensionMismatch):
+                dense_dirk_step(np.ones(shape), get_table("dirk2"), 0.01, d1, d2)
+
     def test_eigenbasis_step_matches_schur_step_at_benchmark_scale(self):
-        # heat-compare-n256's trajectory: 16 steps at lambda = 400, once in
-        # the generators' eigenbasis (moved in and out once) and once by the
-        # Schur back-solve per stage.  Measured gaps: 1.3e-13 to 5.0e-13 of
-        # max|F0| and 7.2e-12 to 2.7e-11 of max|F_out| (dirk3 largest); the
-        # output decays, so the gap is checked at the scale of the input,
-        # where both paths' rounding is made.  Against the dirk2 recursion
-        # iteratively refined in extended precision, the Schur path is the
-        # less accurate one (7.7e-12 of the output's max against 1.3e-12).
+        # heat-compare-n256's trajectory as ``run_compare`` runs it: 16 steps
+        # at lambda = 400, once in the generators' Hartley basis (moved in
+        # and out once) and once by the Schur back-solve per stage.  Measured
+        # gaps: 1.4e-13 to 4.7e-13 of max|F0| and 7.7e-12 to 2.6e-11 of
+        # max|F_out| (dirk3 largest); the output decays, so the gap is
+        # checked at the scale of the input, where both paths' rounding is
+        # made.  Against the dirk2 recursion run in extended precision, the
+        # Schur path is the less accurate one (7.7e-12 of the output's max
+        # against 1.7e-13).
         n = 256
-        d = build_heat_operator(n, 0.5, 1.0 / n).dense()
-        w, z = symmetric_eigh(d)
+        op = build_heat_operator(n, 0.5, 1.0 / n)
+        d = op.dense()
         dt = 400.0 / n**2
         f0 = heat_initial_condition(n).materialize()
         for name in ("be", "dirk2", "dirk3"):
             table = get_table(name)
             eig_cache, schur_cache = {}, {}
-            g = z.T @ f0 @ z
+            (w1, w2), g = circulant_eigenbasis(f0, op, op)
             want = f0
             for _ in range(16):
-                g = dense_dirk_step(g, table, dt, w, w, eig_cache)
+                g = dense_dirk_step(g, table, dt, w1, w2, eig_cache)
                 want = dense_dirk_step(want, table, dt, d, d, schur_cache)
-            got = z @ g @ z.T
+            got = circulant_eigenbasis(g, op, op)[1]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(f0).max(), name
             assert np.abs(got - want).max() <= 5e-11 * np.abs(want).max(), name
 
@@ -294,7 +344,7 @@ class TestDenseDirkStep:
         q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         d = (q * mu) @ q.T
         d = 0.5 * (d + d.T)
-        w, z = symmetric_eigh(d)
+        w, z = np.linalg.eigh(d)
         f0 = rng.standard_normal((n, n))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -302,7 +352,7 @@ class TestDenseDirkStep:
                 dense_dirk_step(z.T @ f0 @ z, get_table(name), dt, w, w)
 
     def test_eigenbasis_nonfinite_result_raises(self):
-        w = symmetric_eigh(build_heat_operator(8, 0.5, 1.0 / 8).dense())[0]
+        w = np.linalg.eigvalsh(build_heat_operator(8, 0.5, 1.0 / 8).dense())
         g = np.ones((8, 8))
         g[3, 5] = np.nan
         with pytest.raises(SpectralOverlap):
