@@ -8,7 +8,7 @@ is rejected and the bases regrown with that pair before all stages are
 retried.  Tables are stiffly accurate, so the step ends on the last stage core.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,14 +105,11 @@ def assemble_stage_operator(d_op, dt, akk):
 
 @dataclass
 class StepDiagnostics:
-    """Per-step record: growth rounds, final residuals, ranks."""
+    """Per-step record: growth rounds, final residuals, state rank."""
 
     krylov_iterations: int
     stage_residuals: list
     rank: int
-    basis_rank_u: int
-    basis_rank_v: int
-    residual_history: list = field(default_factory=list)
     late_stage_restarts: int = 0
 
 
@@ -145,8 +142,5 @@ def dirk_step(f_n, table, dt, generators, tolerance, post_process=None):
         krylov_iterations=diag.iterations,
         stage_residuals=list(diag.stage_residuals),
         rank=f_next.rank,
-        basis_rank_u=diag.rank_u,
-        basis_rank_v=diag.rank_v,
-        residual_history=list(diag.history),
         late_stage_restarts=sum(1 for k in diag.reject_stages if k > 0),
     )

@@ -25,6 +25,7 @@ from .heat import (
 )
 from .krylov import lte_tolerance
 from .lbfp import initialize_system, kinetic_moments, lbfp_step, total_invariants
+from .linalg import eig_denominators
 from .lowrank import spectral_scale, truncate
 from .reference import (
     circulant_eigenbasis,
@@ -337,10 +338,12 @@ def run_compare(cfg, out_dir):
 
     The full-rank run steps in the generators' eigenbasis: heat generators
     are symmetric circulants, so each λ moves F0 into their real Hartley
-    basis once (G = Z1^T F0 Z2 by ``circulant_eigenbasis``), passes the
-    eigenvalues to ``dense_dirk_step`` as diagonal generators at every step,
-    and moves the last state out once by the same transform: O(n^2 log n)
-    per λ and O(n^2) per step, with no dense generator and no n^3 work.
+    basis once (G = Z1^T F0 Z2 by ``circulant_eigenbasis``), forms the stage
+    divisors (1/2 - dt*a_kk*w1_i) + (1/2 - dt*a_kk*w2_j) once, behind
+    ``eig_denominators``' overlap guard, passes ``dense_dirk_step`` a solver
+    dividing by them at every step, and moves the last state out once by the
+    same transform: O(n^2 log n) per λ and O(n^2) per step, with no dense
+    generator and no n^3 work.
     """
     if cfg.kind != "heat-convergence":
         raise ConfigError("compare needs a heat-convergence config", "kind")
@@ -351,9 +354,10 @@ def run_compare(cfg, out_dir):
         res = _heat_point(cfg, lam, table)
         ops = res["operators"]
         (w1, w2), g = circulant_eigenbasis(res["initial"].materialize(), *ops)
-        stage_cache = {}  # w1, w2 and dt are fixed: form each a_kk's divisors once
+        dt_akk = res["dt"] * table.a[0, 0]
+        denom = eig_denominators(0.5 - dt_akk * w1, 0.5 - dt_akk * w2)
         for _ in range(res["steps"]):
-            g = dense_dirk_step(g, table, res["dt"], w1, w2, stage_cache)
+            g = dense_dirk_step(g, table, lambda b: b / denom)
         fd = circulant_eigenbasis(g, *ops)[1]
         err_dense = float(np.abs(fd - res["reference"]).sum()) * dx * dx
         return res["lambda"], res["dt"], res["error"], err_dense

@@ -12,6 +12,7 @@ remainder is at rounding level, so no power chain is cut while it still adds
 a direction.
 """
 
+import functools
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -162,6 +163,33 @@ class SolveDiagnostics:
     reject_stages: list = field(default_factory=list)
 
 
+def stage_sweep(b0, coeff, solve):
+    """The DIRK stage recursion, once for every stage solver.
+
+    Yields (B_k, Y_k) for k = 1..s with Y_k = solve(B_k) and
+    B_k = B_0 + sum_{l<k} coeff[k,l] * (Y_l - B_l)/coeff[l,l]: projected
+    cores in ``adaptive_stage_solve``, dense states in
+    ``reference.dense_dirk_step``.  When resumed after stage k < s it forms
+    that stage's increment in B_k's own buffer (a fresh n x n array per stage
+    faults in new pages, which at n = 256 costs about as much as the stage
+    itself), so a caller reads B_k before it resumes; the last B_s is left
+    intact, since no stage reads its increment.  ``solve`` must return a new
+    array.
+    """
+    s = coeff.shape[0]
+    incs = []
+    for k in range(s):
+        bk = b0.copy()
+        for l in range(k):
+            bk += coeff[k, l] * incs[l]
+        yk = solve(bk)
+        yield bk, yk
+        if k + 1 < s:
+            np.subtract(yk, bk, out=bk)
+            bk /= coeff[k, k]
+            incs.append(bk)
+
+
 def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
     """Grow shared bases until every projected stage equation meets the tolerance.
 
@@ -175,8 +203,8 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
     tol : float
         Residual tolerance of every stage (strict ``<`` acceptance).
     coeff : (s, s) ndarray
-        Lower-triangular stage coefficients; stage k's rhs is
-        B~1 + sum_{l<k} coeff[k,l] * (S_l - B~_l)/coeff[l,l].
+        Lower-triangular stage coefficients; ``stage_sweep`` forms stage k's
+        rhs B~1 + sum_{l<k} coeff[k,l] * (S_l - B~_l)/coeff[l,l].
 
     Returns (u, cores, v, diagnostics); one core per stage.  Any stage
     failing the tolerance rejects the whole sweep and triggers one growth
@@ -195,27 +223,20 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
     for m in range(max_iter + 1):
         system = assemble_galerkin(op1, op2, ub.q, vb.q, b)
         schur = sylvester_schur(system.a1, system.a2, op1.symmetric and op2.symmetric)
-        increments = []
+        solve = functools.partial(solve_sylvester_dense, system.a1, system.a2, schur=schur)
         cores = []
         stage_res = []
-        ok = True
-        for k in range(s):
-            bk = system.b.copy()
-            for l in range(k):
-                bk += coeff[k, l] * increments[l]
-            sk = solve_sylvester_dense(system.a1, system.a2, bk, schur)
+        for k, (bk, sk) in enumerate(stage_sweep(system.b, coeff, solve)):
             res = residual_norm(replace(system, b=bk), sk)
             stage_res.append(res)
             if k == 0:
                 best = LowRankFactors(ub.q, sk, vb.q, orthonormal=True)
             if not (res < tol):
-                ok = False
                 rejects.append(k)
                 break
-            increments.append((sk - bk) / coeff[k, k])
             cores.append(sk)
         history.append(stage_res[-1])
-        if ok:
+        if len(cores) == s:
             diag = SolveDiagnostics(
                 m, stage_res[-1], ub.rank, vb.rank, history, stage_res, rejects
             )

@@ -342,7 +342,9 @@ def moment_step(states, species, table, dt):
 
     The step end is assembled from the stage derivatives, y + dt*sum b_k f_k,
     so linear invariants of the rhs are conserved to rounding independent of
-    the Newton tolerance.
+    the Newton tolerance.  That is why this nonlinear recursion does not use
+    ``krylov.stage_sweep``, whose increments (Y_k - B_k)/a_kk are the stage
+    derivatives only to the Newton tolerance.
     """
     y0 = _pack(states)
     arrs = _species_arrays(states, species)

@@ -144,9 +144,6 @@ class TridiagonalOperator:
             y[-1] += self.corner_lower * xm[0]
         return y[:, 0] if was_vec else y
 
-    def __matmul__(self, x):
-        return self.apply(x)
-
     def dense(self):
         a = np.diag(self.diag)
         a += np.diag(self.lower, -1)

@@ -19,7 +19,13 @@ from kryrank.dirk import (
 from kryrank import krylov
 from kryrank.errors import DimensionMismatch
 from kryrank.heat import build_heat_operator, heat_initial_condition
-from kryrank.krylov import adaptive_stage_solve, solve_adaptive
+from kryrank.krylov import adaptive_stage_solve, solve_adaptive, stage_sweep
+from kryrank.lbfp import (
+    benchmark_species,
+    build_lbfp_operators,
+    collision_coefficients,
+    initialize_system,
+)
 from kryrank.linalg import TridiagonalOperator
 from kryrank.lowrank import LowRankFactors
 
@@ -127,6 +133,17 @@ class TestStageOperator:
         rows = op.dense().sum(axis=1)
         assert np.abs(rows - 0.5).max() <= 1e-10
 
+    def test_lbfp_operator_dense_is_bitwise_stage_matrix(self):
+        # ``dense_lbfp_step`` builds its stage matrices this way
+        system = initialize_system(benchmark_species(), 24)
+        coeffs = collision_coefficients(system.states, system.species)
+        for d in build_lbfp_operators(system.grids[0], system.dvs[0], coeffs[0]):
+            for name in ("be", "dirk2", "dirk3"):
+                akk = get_table(name).a[0, 0]
+                got = assemble_stage_operator(d, 0.1, akk).dense()
+                want = 0.5 * np.eye(d.n) - 0.1 * akk * d.dense()
+                assert np.array_equal(got, want), name
+
 
 def stage_ops(d, table, dt):
     return (assemble_stage_operator(d, dt, table.a[0, 0]),) * 2
@@ -178,6 +195,38 @@ class TestStageRhs:
         want = scalar_dirk_oracle(table, lam, dt, 1.0, steps)
         got = float(f.materialize()[0, 0])
         assert abs(got - want) <= 1e-13 * abs(want)
+
+
+class TestStageSweep:
+    """``stage_sweep``, the stage recursion shared by the Krylov and dense steps."""
+
+    @pytest.mark.parametrize("name", ["be", "dirk2", "dirk3"])
+    def test_scalar_stages_match_scalar_dirk_oracle(self, name):
+        table = get_table(name)
+        lam, dt, steps = -3.0, 0.05, 7
+        y = np.array([1.0])
+        for _ in range(steps):
+            sweep = stage_sweep(y, table.a, lambda b: b / (1.0 - dt * table.a[0, 0] * lam))
+            y = [yk for _, yk in sweep][-1]
+        want = scalar_dirk_oracle(table, lam, dt, 1.0, steps)
+        assert abs(y[0] - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("name", ["be", "dirk2", "dirk3"])
+    def test_solves_once_per_stage_and_keeps_last_rhs(self, name):
+        table = get_table(name)
+        calls = []
+
+        def solve(b):
+            calls.append(b.copy())
+            return 0.5 * b
+
+        pairs = list(stage_sweep(np.full((2, 3), 4.0), table.a, solve))
+        assert len(calls) == table.stages
+        # every earlier B_k now holds its increment; B_s is still the rhs solved
+        for k, (bk, yk) in enumerate(pairs[:-1]):
+            assert np.array_equal(bk, (yk - calls[k]) / table.a[k, k])
+        assert np.array_equal(pairs[-1][0], calls[-1])
+        assert np.array_equal(pairs[-1][1], 0.5 * calls[-1])
 
 
 class TestDirkStep:

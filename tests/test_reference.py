@@ -7,6 +7,7 @@ vectorized Kronecker linear solve replaying the stage recursion, and plain
 dense arithmetic for distances and masses.
 """
 
+import functools
 import math
 import warnings
 
@@ -25,7 +26,12 @@ from kryrank.lbfp import (
     lbfp_step,
     moment_step,
 )
-from kryrank.linalg import TridiagonalOperator, sylvester_schur
+from kryrank.linalg import (
+    TridiagonalOperator,
+    eig_denominators,
+    solve_sylvester_dense,
+    sylvester_schur,
+)
 from kryrank.lowrank import LowRankFactors
 from kryrank.reference import (
     circulant_eigenbasis,
@@ -212,6 +218,19 @@ class TestCirculantEigenbasis:
             circulant_eigenbasis(np.ones((n, 8)), d, d)
 
 
+def schur_solver(d1, d2, dt, akk):
+    """Stage solver of dense generators: I/2 - dt*a_kk*D in Schur form, factored once."""
+    a1 = 0.5 * np.eye(d1.shape[0]) - dt * akk * d1
+    a2 = 0.5 * np.eye(d2.shape[0]) - dt * akk * d2
+    return functools.partial(solve_sylvester_dense, a1, a2, schur=sylvester_schur(a1, a2))
+
+
+def eig_solver(w1, w2, dt, akk):
+    """Stage solver in the generators' eigenbasis: one division by the stage divisors."""
+    denom = eig_denominators(0.5 - dt * akk * w1, 0.5 - dt * akk * w2)
+    return lambda b: b / denom
+
+
 class TestDenseDirkStep:
     def test_matches_kronecker_recursion(self):
         rng = np.random.default_rng(71)
@@ -221,11 +240,11 @@ class TestDenseDirkStep:
         f0 = rng.standard_normal((n, n))
         for name in ("be", "dirk2", "dirk3"):
             table = get_table(name)
-            got = dense_dirk_step(f0, table, 0.01, d1, d2)
+            got = dense_dirk_step(f0, table, schur_solver(d1, d2, 0.01, table.a[0, 0]))
             want = kron_stage_recursion(f0, table, 0.01, d1, d2)
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
-    def test_shared_cache_is_bitwise_uncached_scipy_loop(self):
+    def test_reused_solver_is_bitwise_refactored_scipy_loop(self):
         rng = np.random.default_rng(72)
         n = 16
         d1 = build_heat_operator(n, 0.5, 1.0 / n).dense()
@@ -234,11 +253,11 @@ class TestDenseDirkStep:
         dt = 0.01
         for name in ("be", "dirk2", "dirk3"):
             table = get_table(name)
-            cache = {}
+            solve = schur_solver(d1, d2, dt, table.a[0, 0])
             got = f0
             want = f0
             for _ in range(4):
-                got = dense_dirk_step(got, table, dt, d1, d2, cache)
+                got = dense_dirk_step(got, table, solve)
                 # the stage recursion with every operator rebuilt and refactored
                 incs = []
                 b0 = want
@@ -252,10 +271,9 @@ class TestDenseDirkStep:
                     want = scipy.linalg.solve_sylvester(a1, a2.T, b)
                     incs.append((want - b) / akk)
             assert np.array_equal(got, want), name
-            assert len(cache) == len(set(np.diag(table.a)))
 
     def test_symmetric_matches_kronecker_recursion(self):
-        # symmetric generators stepped in their Hartley basis (1-D generators)
+        # symmetric generators stepped in their Hartley basis
         rng = np.random.default_rng(74)
         d1 = build_heat_operator(20, 0.5, 1.0 / 20)
         d2 = build_heat_operator(15, 0.2, 1.0 / 15)
@@ -263,11 +281,12 @@ class TestDenseDirkStep:
         for name in ("be", "dirk2", "dirk3"):
             table = get_table(name)
             (w1, w2), g = circulant_eigenbasis(f0, d1, d2)
-            got = circulant_eigenbasis(dense_dirk_step(g, table, 0.01, w1, w2), d1, d2)[1]
+            solve = eig_solver(w1, w2, 0.01, table.a[0, 0])
+            got = circulant_eigenbasis(dense_dirk_step(g, table, solve), d1, d2)[1]
             want = kron_stage_recursion(f0, table, 0.01, d1.dense(), d2.dense())
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
 
-    def test_symmetric_shared_cache_is_bitwise_uncached(self):
+    def test_symmetric_reused_solver_is_bitwise_refactored(self):
         rng = np.random.default_rng(75)
         n = 16
         w1 = np.linalg.eigvalsh(build_heat_operator(n, 0.5, 1.0 / n).dense())
@@ -275,34 +294,29 @@ class TestDenseDirkStep:
         g0 = rng.standard_normal((n, n))
         for name in ("be", "dirk2", "dirk3"):
             table = get_table(name)
-            cache = {}
+            solve = eig_solver(w1, w2, 0.01, table.a[0, 0])
             got = g0
             want = g0
             for _ in range(4):
-                got = dense_dirk_step(got, table, 0.01, w1, w2, cache)
-                want = dense_dirk_step(want, table, 0.01, w1, w2)
+                got = dense_dirk_step(got, table, solve)
+                want = dense_dirk_step(want, table, eig_solver(w1, w2, 0.01, table.a[0, 0]))
             assert np.array_equal(got, want), name
-            assert len(cache) == len(set(np.diag(table.a)))
-            # the cache holds each a_kk's stage divisors, one per entry of G
-            assert all(entry.shape == (n, n) for entry in cache.values())
 
     def test_symmetric_factorization_rejects_nonsymmetric_operator(self):
         # the eigenbasis is only taken of exactly symmetric generators
         d = lbfp_operator(16).dense()
         with pytest.raises(DimensionMismatch):
             sylvester_schur(d, d, symmetric=True)
-        w = np.ones(16)
-        with pytest.raises(DimensionMismatch):
-            dense_dirk_step(np.ones((16, 16)), get_table("be"), 0.01, w, d)
 
     def test_state_shape_must_match_generators(self):
-        # a (1, 8) state would broadcast against 8 eigenvalues to (8, 8)
+        # a (1, 8) state would broadcast against 8 x 8 stage divisors to (8, 8)
         d = build_heat_operator(8, 0.5, 1.0 / 8).dense()
         w = np.linalg.eigvalsh(d)
-        cases = [((1, 8), w, w), ((8, 6), w, w), ((8, 6), d, d), ((8, 8), d, d[:, :7])]
-        for shape, d1, d2 in cases:
+        akk = get_table("dirk2").a[0, 0]
+        cases = [((1, 8), eig_solver(w, w, 0.01, akk)), ((8, 6), schur_solver(d, d, 0.01, akk))]
+        for shape, solve in cases:
             with pytest.raises(DimensionMismatch):
-                dense_dirk_step(np.ones(shape), get_table("dirk2"), 0.01, d1, d2)
+                dense_dirk_step(np.ones(shape), get_table("dirk2"), solve)
 
     def test_eigenbasis_step_matches_schur_step_at_benchmark_scale(self):
         # heat-compare-n256's trajectory as ``run_compare`` runs it: 16 steps
@@ -321,12 +335,13 @@ class TestDenseDirkStep:
         f0 = heat_initial_condition(n).materialize()
         for name in ("be", "dirk2", "dirk3"):
             table = get_table(name)
-            eig_cache, schur_cache = {}, {}
             (w1, w2), g = circulant_eigenbasis(f0, op, op)
+            eig_solve = eig_solver(w1, w2, dt, table.a[0, 0])
+            schur_solve = schur_solver(d, d, dt, table.a[0, 0])
             want = f0
             for _ in range(16):
-                g = dense_dirk_step(g, table, dt, w1, w2, eig_cache)
-                want = dense_dirk_step(want, table, dt, d, d, schur_cache)
+                g = dense_dirk_step(g, table, eig_solve)
+                want = dense_dirk_step(want, table, schur_solve)
             got = circulant_eigenbasis(g, op, op)[1]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(f0).max(), name
             assert np.abs(got - want).max() <= 5e-11 * np.abs(want).max(), name
@@ -335,10 +350,12 @@ class TestDenseDirkStep:
     def test_overlapping_stage_pair_raises_without_warning(self, name):
         # a generator with a positive eigenvalue mu = 1/(2 dt a_kk) gives the
         # stage matrices I/2 - dt a_kk D an eigenvalue at 0 on both sides,
-        # so (1/2 - dt a_kk mu) + (1/2 - dt a_kk mu) vanishes to rounding
+        # so (1/2 - dt a_kk mu) + (1/2 - dt a_kk mu) vanishes to rounding;
+        # the caller's divisors raise before any stage is solved
         rng = np.random.default_rng(76)
         n, dt = 12, 0.01
-        akk = get_table(name).a[0, 0]
+        table = get_table(name)
+        akk = table.a[0, 0]
         mu = -rng.uniform(1.0, 100.0, n)
         mu[0] = 1.0 / (2.0 * dt * akk)
         q = np.linalg.qr(rng.standard_normal((n, n)))[0]
@@ -349,14 +366,15 @@ class TestDenseDirkStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SpectralOverlap):
-                dense_dirk_step(z.T @ f0 @ z, get_table(name), dt, w, w)
+                dense_dirk_step(z.T @ f0 @ z, table, eig_solver(w, w, dt, akk))
 
     def test_eigenbasis_nonfinite_result_raises(self):
         w = np.linalg.eigvalsh(build_heat_operator(8, 0.5, 1.0 / 8).dense())
+        table = get_table("dirk2")
         g = np.ones((8, 8))
         g[3, 5] = np.nan
         with pytest.raises(SpectralOverlap):
-            dense_dirk_step(g, get_table("dirk2"), 0.01, w, w)
+            dense_dirk_step(g, table, eig_solver(w, w, 0.01, table.a[0, 0]))
 
     def test_backward_euler_mode_amplification(self):
         n = 32
@@ -366,7 +384,9 @@ class TestDenseDirkStep:
         f0 = np.outer(np.sin(2.0 * np.pi * x), np.sin(2.0 * np.pi * x))
         mu = 2.0 * circulant_eigenvalue(1, n, dcoef)
         dt = 0.01
-        got = dense_dirk_step(f0, get_table("be"), dt, d.dense(), d.dense())
+        table = get_table("be")
+        solve = schur_solver(d.dense(), d.dense(), dt, table.a[0, 0])
+        got = dense_dirk_step(f0, table, solve)
         assert np.abs(got - f0 / (1.0 - dt * mu)).max() <= 1e-12
 
     def test_second_order_convergence(self):
@@ -376,13 +396,13 @@ class TestDenseDirkStep:
         f0 = np.outer(np.sin(2.0 * np.pi * x), np.cos(2.0 * np.pi * x))
         t_final = 0.08
         ref = heat_reference(f0, d, d, t_final)
+        table = get_table("dirk2")
 
         def err(steps):
+            solve = schur_solver(d.dense(), d.dense(), t_final / steps, table.a[0, 0])
             f = f0.copy()
             for _ in range(steps):
-                f = dense_dirk_step(
-                    f, get_table("dirk2"), t_final / steps, d.dense(), d.dense()
-                )
+                f = dense_dirk_step(f, table, solve)
             return np.linalg.norm(f - ref)
 
         slope = math.log2(err(4) / err(8))
