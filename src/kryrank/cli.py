@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config
-from .dirk import assemble_stage_operator
+from .dirk import assemble_stage_operator, get_table
 from .errors import (
     ConfigError,
     KryrankError,
@@ -29,7 +29,14 @@ from .experiments import (
 )
 from .heat import build_heat_operator, heat_initial_condition
 from .krylov import grow_basis, seed_basis, solve_adaptive
-from .lbfp import chang_cooper_delta
+from .lbfp import (
+    benchmark_species,
+    chang_cooper_delta,
+    initialize_system,
+    kinetic_moments,
+    lbfp_step,
+    moment_step,
+)
 from .linalg import TridiagonalOperator
 from .lowrank import LowRankFactors, lr_frobenius, spectral_scale, truncate
 
@@ -132,6 +139,26 @@ def _self_check(seed):
     loss = float(np.linalg.norm(basis.q.T @ basis.q - np.eye(basis.rank), 2))
     detail = "||Q^T Q - I|| %.2e at rank %d" % (loss, basis.rank)
     results.append(("basis-orthogonality", loss <= 1e-13, detail))
+
+    # one lbfp step: LoMaC's joint basis keeps both factors orthonormal and
+    # pins each species' kinetic moments to the moment system's
+    system = initialize_system(benchmark_species(), 2000)
+    table = get_table("be")
+    want = moment_step(system.states, system.species, table, 0.1)
+    system, _ = lbfp_step(system, table, 0.1, 1.0)
+    loss = pin = 0.0
+    for sp, f, grid, dv, st in zip(
+        system.species, system.factors, system.grids, system.dvs, want
+    ):
+        for q in (f.u, f.v):
+            loss = max(loss, float(np.linalg.norm(q.T @ q - np.eye(f.rank), 2)))
+        got = kinetic_moments(f, grid, grid, dv).as_vector()
+        # fluxes of counter-streaming humps are near 0: scale them by n vth
+        flux = st.n * np.sqrt(st.temperature(sp.mass) / sp.mass)
+        scale = np.array([st.n, flux, flux, 2.0 * st.energy])
+        pin = max(pin, float(np.max(np.abs(got - st.as_vector()) / scale)))
+    detail = "||Q^T Q - I|| %.2e, moments %.2e relative" % (loss, pin)
+    results.append(("lomac-pin", loss <= 1e-13 and pin <= 1e-12, detail))
     return results
 
 

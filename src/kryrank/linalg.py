@@ -26,6 +26,12 @@ in ``eig_denominators`` when the pair is factored, an a-priori bound on that
 same residual, O(mk) against the O(mk(m+k)) residual product, and at least
 as strict.  scipy is imported only by the non-symmetric branches, at their
 first call, so symmetric (heat) runs load numpy alone.
+Block Gram-Schmidt updates a column-major block.  When the prefix q is
+column-major too (``mgs_qr``'s work buffer), projections are formed in the
+layout of the block they update, since a row-major product subtracted from a
+column-major block costs a strided pass over it; a grown ``grow_basis``
+basis is row-major and keeps the row-major product, because a column-major
+one rounds differently against it, so heat's outputs stay byte-identical.
 """
 
 import math
@@ -229,6 +235,11 @@ class TridiagonalOperator:
         return x[:, 0] if was_vec else x
 
 
+def _times(a, x, col_major):
+    """a @ x, formed column-major when ``col_major`` (the layout of the block it updates)."""
+    return (x.T @ a.T).T if col_major else a @ x
+
+
 def _bcgs2(q, cand, drop, cap):
     """Orthonormalize the columns of ``cand`` against orthonormal ``q`` and each other.
 
@@ -242,13 +253,24 @@ def _bcgs2(q, cand, drop, cap):
     even for candidates that nearly lie in span(q); without a prefix the
     in-block passes alone leave it orthonormal.
 
+    ``cand`` is column-major.  When ``q`` is too (``mgs_qr``'s prefix, or a
+    basis fresh from ``seed_basis``), every n-by-k product that updates the
+    block, both projections and the Cholesky finish, is formed column-major,
+    with no strided pass over the block; on OpenBLAS it has the row-major
+    product's bits, which ``tests/test_linalg.py`` checks.  Against a
+    row-major ``q`` (a grown basis) the column-major form rounds
+    differently, so the row-major products stay.  The in-block products go
+    through ``np.dot``, which gives ``matmul``'s bits without the overhead
+    ``matmul`` has on a one-column block.
+
     ``cand`` is overwritten: accepted columns are compacted, in order, to its
     front.  Returns (new, accepted) with ``new`` a view of ``cand`` and
     ``accepted`` the indices of the accepted candidates.
     """
     drop = np.broadcast_to(drop, cand.shape[1:])
+    col_major = q.flags.f_contiguous
     if q.shape[1]:
-        cand -= q @ (q.T @ cand)
+        cand -= _times(q, q.T @ cand, col_major)
     accepted = []
     for j in range(cand.shape[1]):
         kp = len(accepted)
@@ -258,17 +280,18 @@ def _bcgs2(q, cand, drop, cap):
         if kp:
             w = cand[:, :kp]
             for _ in range(2):
-                v -= w @ (w.T @ v)
+                v -= np.dot(w, np.dot(w.T, v))
         nrm = math.sqrt(v @ v)
         if nrm > drop[j]:
             cand[:, kp] = v / nrm
             accepted.append(j)
     new = cand[:, : len(accepted)]
     if q.shape[1] and accepted:
-        new -= q @ (q.T @ new)
+        new -= _times(q, q.T @ new, col_major)
         # Cholesky QR of a block orthonormal to rounding: the triangular
         # factor is near I, so its inverse is well conditioned and keeps signs
-        new[:] = new @ np.linalg.inv(np.linalg.cholesky(new.T @ new)).T
+        r_inv = np.linalg.inv(np.linalg.cholesky(new.T @ new)).T
+        new[:] = _times(new, r_inv, col_major)
     return new, accepted
 
 

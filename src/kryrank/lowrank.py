@@ -61,6 +61,14 @@ def truncate(f, eps):
     return LowRankFactors(u @ w1, np.diag(sig), v @ w2, orthonormal=True)
 
 
+def _column_major_stack(a, b):
+    """[a | b] in one column-major buffer, the layout ``mgs_qr`` works in."""
+    out = np.empty((a.shape[0], a.shape[1] + b.shape[1]), order="F")
+    out[:, : a.shape[1]] = a
+    out[:, a.shape[1] :] = b
+    return out
+
+
 def joint_basis(f, extra_u, extra_v):
     """Orthonormal bases spanning [f.u | extra_u] and [f.v | extra_v].
 
@@ -72,10 +80,12 @@ def joint_basis(f, extra_u, extra_v):
     ru_cols = f.u.shape[1]
     rv_cols = f.v.shape[1]
     qu, ru = mgs_qr(
-        np.hstack([f.u, extra_u]), ortho_prefix=ru_cols if f.orthonormal else 0
+        _column_major_stack(f.u, extra_u),
+        ortho_prefix=ru_cols if f.orthonormal else 0,
     )
     qv, rv = mgs_qr(
-        np.hstack([f.v, extra_v]), ortho_prefix=rv_cols if f.orthonormal else 0
+        _column_major_stack(f.v, extra_v),
+        ortho_prefix=rv_cols if f.orthonormal else 0,
     )
     core_f = ru[:, :ru_cols] @ f.s @ rv[:, :rv_cols].T
     return qu, qv, core_f, ru[:, ru_cols:], rv[:, rv_cols:]

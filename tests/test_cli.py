@@ -97,7 +97,7 @@ class TestValidate:
         assert "time.lambda = 50, 100" in out
         assert "seed = 0" in out
 
-    def test_runs_all_six_self_checks(self, tmp_path, capsys):
+    def test_runs_all_seven_self_checks(self, tmp_path, capsys):
         rc = main(["validate", heat_cfg(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
@@ -108,6 +108,7 @@ class TestValidate:
             "constant-null-mode",
             "circulant-solve",
             "basis-orthogonality",
+            "lomac-pin",
         ):
             line = [l for l in out.splitlines() if l.startswith("self-check " + name)]
             assert len(line) == 1

@@ -19,6 +19,7 @@ from kryrank.heat import build_heat_operator
 from kryrank.lbfp import PairCoefficients, build_lbfp_operators, velocity_grid
 from kryrank.linalg import (
     TridiagonalOperator,
+    _bcgs2,
     mgs_qr,
     reduced_svd,
     solve_sylvester_dense,
@@ -388,6 +389,98 @@ class TestMgsQr:
     def test_empty_input_rejected(self):
         with pytest.raises(DimensionMismatch):
             mgs_qr(np.ones((3, 0)))
+
+
+def gram_schmidt_case(shape):
+    """An orthonormal prefix and a candidate block at a shape the program feeds ``_bcgs2``.
+
+    ``lomac``: n=8000, the 8-column state factor and the 3 Maxwellian-weighted
+    range columns (w, v w, v^2 w) of ``lbfp.lomac_project``.  ``heat-growth``:
+    n=512, a 60-column basis and 20 Gaussian candidates.  Column 1 is
+    replaced by a combination of the prefix, so it lies inside span(q).
+    """
+    rng = np.random.default_rng(len(shape))
+    if shape == "lomac":
+        n, p = 8000, 8
+        grid, _ = velocity_grid(n, 10.0)
+        w = np.exp(-(grid**2) / 2.0)
+        cand = np.column_stack([w, grid * w, grid**2 * w])
+    else:
+        n, p = 512, 60
+        cand = rng.standard_normal((n, 20))
+    q = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    cand[:, 1] = q @ rng.standard_normal(p)
+    return q, cand
+
+
+def span_remainders(q, m):
+    """Norm of each column of m outside span(q), for orthonormal q."""
+    return np.linalg.norm(m - q @ (q.T @ m), axis=0)
+
+
+def row_major_bcgs2(q, cand, drop):
+    """``_bcgs2`` with every product formed row-major (``q @ x``), no cap."""
+    cand -= q @ (q.T @ cand)
+    accepted = []
+    for j in range(cand.shape[1]):
+        v = cand[:, j]
+        w = cand[:, : len(accepted)]
+        for _ in range(2):
+            v -= w @ (w.T @ v)
+        nrm = np.sqrt(v @ v)
+        if nrm > drop[j]:
+            cand[:, len(accepted)] = v / nrm
+            accepted.append(j)
+    new = cand[:, : len(accepted)]
+    new -= q @ (q.T @ new)
+    new[:] = new @ np.linalg.inv(np.linalg.cholesky(new.T @ new)).T
+    return new, accepted
+
+
+class TestGramSchmidtLayouts:
+    """``_bcgs2`` forms its products in a column-major prefix's own layout and
+    keeps the row-major products for a row-major one: both keep the contract."""
+
+    @pytest.mark.parametrize("shape", ["lomac", "heat-growth"])
+    def test_bcgs2_row_and_column_major_prefix(self, shape):
+        q, cand = gram_schmidt_case(shape)
+        n, p = q.shape
+        # grow_basis's drop: the rounding level of the first projection
+        drop = n * np.finfo(float).eps * np.linalg.norm(cand, axis=0)
+        picks = []
+        for layout in ("C", "F"):
+            new, accepted = _bcgs2(
+                np.array(q, order=layout), np.array(cand, order="F"), drop, n - p
+            )
+            full = np.hstack([q, new])
+            assert np.linalg.norm(full.T @ full - np.eye(full.shape[1]), 2) <= 1e-13
+            assert np.all(span_remainders(full, cand) <= drop)
+            # against either prefix the result has the row-major products' bits
+            want, _ = row_major_bcgs2(
+                np.array(q, order=layout), np.array(cand, order="F"), drop
+            )
+            assert np.array_equal(new, want)
+            picks.append(accepted)
+        assert picks[0] == picks[1]
+        assert picks[0] == [j for j in range(cand.shape[1]) if j != 1]
+
+    @pytest.mark.parametrize("shape", ["lomac", "heat-growth"])
+    def test_mgs_qr_row_and_column_major_input(self, shape):
+        prefix, cand = gram_schmidt_case(shape)
+        p = prefix.shape[1]
+        qs = []
+        for layout in ("C", "F"):
+            m = np.array(np.hstack([prefix, cand]), order=layout)
+            q, r = mgs_qr(m, ortho_prefix=p)
+            assert np.array_equal(q[:, :p], prefix)
+            assert np.linalg.norm(q.T @ q - np.eye(q.shape[1]), 2) <= 1e-13
+            drop = 1e-12 * np.linalg.norm(m)
+            assert np.all(span_remainders(q, cand) <= drop)
+            assert np.all(np.linalg.norm(q @ r - m, axis=0) <= drop)
+            qs.append(q)
+        # the kernel works on one column-major copy whatever the input layout
+        assert np.array_equal(qs[0], qs[1])
+        assert qs[0].shape[1] == p + cand.shape[1] - 1
 
 
 class TestReducedSvd:

@@ -8,6 +8,7 @@ the moment formulas.
 import numpy as np
 import pytest
 
+from kryrank import lowrank
 from kryrank.errors import DimensionMismatch
 from kryrank.lbfp import maxwellian_factors, velocity_grid
 from kryrank.lowrank import (
@@ -261,6 +262,59 @@ class TestJointBasis:
         core = np.diag([1e-8, 1e-9])
         _out, _w1, kept, _w2 = core_truncate(core, 1.0)
         assert kept.size == 1
+
+
+class TestJointBasisStacking:
+    """The column-major stacking of [f.u | extra] is a pure copy: the range
+    block's layout changes no bit of the joint basis or of LoMaC's result."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(44)
+        n = 2000
+        self.grid, self.dv = velocity_grid(n, 10.0)
+        u = np.linalg.qr(rng.standard_normal((n, 8)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, 8)))[0]
+        self.f = LowRankFactors(u, np.diag(0.5 ** np.arange(8)), v, orthonormal=True)
+        w = np.exp(-(self.grid**2) / 2.0)
+        # (3, n) rows, so .T is the transposed view lbfp.lomac_project passes
+        self.rows = np.stack([w, self.grid * w, self.grid**2 * w])
+
+    def layouts(self):
+        return {
+            "row-major": np.ascontiguousarray(self.rows.T),
+            "column-major": np.asfortranarray(self.rows.T),
+            "transposed view": self.rows.T,
+        }
+
+    def test_joint_basis_layouts_and_hstack_reference(self, monkeypatch):
+        outs = {name: joint_basis(self.f, e, e) for name, e in self.layouts().items()}
+        monkeypatch.setattr(lowrank, "_column_major_stack", lambda a, b: np.hstack([a, b]))
+        want = joint_basis(self.f, self.rows.T, self.rows.T)
+        for name, got in outs.items():
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), name
+
+    def test_conservative_truncate_layouts_and_hstack_reference(self, monkeypatch):
+        moment_rows = np.stack([np.ones_like(self.grid), self.grid, self.grid**2]) * self.dv
+        modes = np.zeros((4, 3, 3))
+        modes[0, 0, 0] = modes[1, 1, 0] = modes[2, 0, 1] = 1.0
+        modes[3, 2, 0] = modes[3, 0, 2] = 1.0
+
+        def run(extra):
+            f = self.f
+            target = np.einsum(
+                "jab,ab->j", modes, moment_rows @ f.u @ f.s @ (moment_rows @ f.v).T
+            ) * (1.0 + 1e-3)
+            return conservative_truncate(
+                f, extra, extra, moment_rows, moment_rows, modes, target, 1e-3
+            )
+
+        outs = {name: run(extra) for name, extra in self.layouts().items()}
+        monkeypatch.setattr(lowrank, "_column_major_stack", lambda a, b: np.hstack([a, b]))
+        want = run(self.rows.T)
+        for name, got in outs.items():
+            for a, b in ((got.u, want.u), (got.s, want.s), (got.v, want.v)):
+                assert np.array_equal(a, b), name
 
 
 class TestConservativeTruncate:
