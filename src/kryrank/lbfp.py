@@ -365,16 +365,18 @@ def chang_cooper_delta(w):
     """Exponential-fitting weight 1/w - 1/(e^w - 1), elementwise.
 
     Series for small |w|; the large-|w| limits 1/w and 1 + 1/w come out of the
-    expm1 form directly (overflow to inf is deliberate).
+    expm1 form directly (overflow to inf is deliberate).  The expm1 form runs
+    over the whole array, and only the entries with |w| < 1e-6 (where it
+    loses digits or is 0/0) are overwritten by the series.
     """
     w = np.asarray(w, dtype=float)
     out = np.empty_like(w)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        np.subtract(1.0 / w, 1.0 / np.expm1(w), out=out)
     small = np.abs(w) < 1e-6
-    ws = w[small]
-    out[small] = 0.5 - ws / 12.0 + ws**3 / 720.0
-    wl = w[~small]
-    with np.errstate(over="ignore"):
-        out[~small] = 1.0 / wl - 1.0 / np.expm1(wl)
+    if small.any():
+        ws = w[small]
+        out[small] = 0.5 - ws / 12.0 + ws**3 / 720.0
     return out
 
 

@@ -24,14 +24,23 @@ SpectralOverlap: the Schur back-solve checks its residual against 1e-6 of
 the right-hand side after each solve, while the symmetric path checks once,
 in ``eig_denominators`` when the pair is factored, an a-priori bound on that
 same residual, O(mk) against the O(mk(m+k)) residual product, and at least
-as strict.  scipy is imported only by the non-symmetric branches, at their
-first call, so symmetric (heat) runs load numpy alone.
-Block Gram-Schmidt updates a column-major block.  When the prefix q is
-column-major too (``mgs_qr``'s work buffer), projections are formed in the
-layout of the block they update, since a row-major product subtracted from a
-column-major block costs a strided pass over it; a grown ``grow_basis``
-basis is row-major and keeps the row-major product, because a column-major
-one rounds differently against it, so heat's outputs stay byte-identical.
+as strict.  The real Schur forms come from LAPACK ``dgees`` called
+directly, with ``scipy.linalg.schur``'s finite check and workspace query, so
+they have its bits without its wrapper overhead.  scipy is imported only by
+the non-symmetric branches, at their first call, so symmetric (heat) runs
+load numpy alone.
+Layout rule: the n-by-k blocks a step hands on are column-major, and no
+layer copies them into another layout.  ``mgs_qr`` works in a column-major
+buffer (in place with ``overwrite``) and keeps a prefix-only input's layout,
+``lowrank.conservative_truncate`` returns column-major factors, so the next
+step's ``seed_basis`` is column-major too, and ``apply`` returns its
+operand's layout, scaling contiguous rows of x.T for a column-major x.  Every
+n-by-k product that updates a column-major block (the Gram-Schmidt
+projections, the Galerkin remainder P) is formed in that block's layout by
+``_times``, since a row-major product subtracted from it costs a strided
+pass; on OpenBLAS it has the row-major product's bits.  A basis grown by
+``grow_basis`` is row-major (``np.hstack``) and keeps the row-major
+products, because a column-major one rounds differently against it.
 """
 
 import math
@@ -137,18 +146,24 @@ class TridiagonalOperator:
         return (self.n, self.n)
 
     def apply(self, x):
-        """Matrix-vector / matrix-matrix product A @ x."""
+        """Matrix-vector / matrix-matrix product A @ x, in the layout of x.
+
+        Each band scales a row of x.T, which is contiguous for a
+        column-major block; the product is elementwise, so every layout of x
+        gets the same bits.
+        """
         xm, was_vec = _as_matrix(x)
         if xm.shape[0] != self.n:
             raise DimensionMismatch("apply: operand has %d rows, operator is %d" % (xm.shape[0], self.n))
-        y = self.diag[:, None] * xm
-        y[1:] += self.lower[:, None] * xm[:-1]
-        y[:-1] += self.upper[:, None] * xm[1:]
+        xt = xm.T
+        yt = self.diag * xt
+        yt[:, 1:] += self.lower * xt[:, :-1]
+        yt[:, :-1] += self.upper * xt[:, 1:]
         if self.corner_upper:
-            y[0] += self.corner_upper * xm[-1]
+            yt[:, 0] += self.corner_upper * xt[:, -1]
         if self.corner_lower:
-            y[-1] += self.corner_lower * xm[0]
-        return y[:, 0] if was_vec else y
+            yt[:, -1] += self.corner_lower * xt[:, 0]
+        return yt[0] if was_vec else yt.T
 
     def dense(self):
         a = np.diag(self.diag)
@@ -295,14 +310,19 @@ def _bcgs2(q, cand, drop, cap):
     return new, accepted
 
 
-def mgs_qr(m, ortho_prefix=0):
+def mgs_qr(m, ortho_prefix=0, overwrite=False):
     """Rank-revealing QR by block Gram-Schmidt with column-deficiency handling.
 
     Columns whose remainder falls below 1e-12 * ||M||_F are dropped from Q,
     and at most n columns survive; R = Q^T M, so Q @ R reproduces M up to
     the dropped remainders.  The first ``ortho_prefix`` columns are taken as
     already orthonormal and enter Q verbatim with identity rows in R; the
-    rest are orthonormalized against them by ``_bcgs2``.
+    rest are orthonormalized against them by ``_bcgs2``.  Q keeps the layout
+    of M when every column is a prefix column, and is column-major otherwise.
+
+    With ``overwrite`` a column-major M is the work buffer itself: Q is a
+    view of its leading columns, and only the columns after the prefix,
+    which R still needs, are copied first.  Any other M is copied whole.
 
     Returns
     -------
@@ -319,13 +339,17 @@ def mgs_qr(m, ortho_prefix=0):
     if not 0 <= p <= min(n, k):
         raise DimensionMismatch("ortho_prefix out of range")
     if p == k:
-        return m.copy(), np.eye(k)
-    work = np.array(m, order="F")
-    new, _ = _bcgs2(work[:, :p], work[:, p:], _MGS_DROP * np.linalg.norm(m), n - p)
+        return (m if overwrite else m.copy(order="A")), np.eye(k)
+    drop = _MGS_DROP * np.linalg.norm(m)
+    if overwrite and m.flags.f_contiguous:
+        work, tail = m, np.array(m[:, p:], order="F")
+    else:
+        work, tail = np.array(m, order="F"), m[:, p:]
+    new, _ = _bcgs2(work[:, :p], work[:, p:], drop, n - p)
     q = work[:, : p + new.shape[1]]
     r = np.zeros((q.shape[1], k))
     r[:p, :p] = np.eye(p)
-    r[:, p:] = q.T @ m[:, p:]
+    r[:, p:] = q.T @ tail
     return q, r
 
 
@@ -368,6 +392,10 @@ def eig_denominators(w1, w2):
     return denom
 
 
+def _unsorted(*_):
+    """dgees' eigenvalue selector, never called without sorting."""
+
+
 def sylvester_schur(a1, a2, symmetric=False):
     """Factor half of a Sylvester solve: (T1, Z1, T2, Z2) with A = Z T Z^T.
 
@@ -394,13 +422,21 @@ def sylvester_schur(a1, a2, symmetric=False):
             factors += (w, z)
         eig_denominators(factors[0], factors[2])
         return tuple(factors)
-    import scipy.linalg
+    from scipy.linalg.lapack import dgees
 
-    try:
-        for a in (a1, a2):
-            factors += scipy.linalg.schur(a, output="real")
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise SpectralOverlap("Sylvester solve failed: %s" % exc) from exc
+    for a in (a1, a2):
+        # scipy.linalg.schur(a, output="real") without its wrappers: the same
+        # finite check, workspace query and dgees call, so the same bits
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise SpectralOverlap("Sylvester solve failed: expected a square matrix")
+        if not np.all(np.isfinite(a)):
+            raise SpectralOverlap("Sylvester solve failed: array must not contain infs or NaNs")
+        lwork = int(dgees(_unsorted, a, lwork=-1)[-2][0])
+        t, _, _, _, z, _, info = dgees(_unsorted, a, lwork=lwork)
+        if info:
+            raise SpectralOverlap("Sylvester solve failed: dgees info=%d" % info)
+        factors += (t, z)
     return tuple(factors)
 
 

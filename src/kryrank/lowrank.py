@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import mgs_qr, reduced_svd
+from .linalg import _times, mgs_qr, reduced_svd
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def truncate(f, eps):
 
 
 def _column_major_stack(a, b):
-    """[a | b] in one column-major buffer, the layout ``mgs_qr`` works in."""
+    """[a | b] in one column-major buffer, which ``mgs_qr`` can work in in place."""
     out = np.empty((a.shape[0], a.shape[1] + b.shape[1]), order="F")
     out[:, : a.shape[1]] = a
     out[:, a.shape[1] :] = b
@@ -76,16 +76,20 @@ def joint_basis(f, extra_u, extra_v):
     columns at coordinates cu, cv, so any update extra_u C extra_v^T has
     joint core cu @ C @ cv.T.  Lets a caller apply several low-rank
     corrections and truncations as small-core operations in one fixed basis.
+    Each side is stacked once and orthonormalized in that buffer, so qu and
+    qv are column-major.
     """
     ru_cols = f.u.shape[1]
     rv_cols = f.v.shape[1]
     qu, ru = mgs_qr(
         _column_major_stack(f.u, extra_u),
         ortho_prefix=ru_cols if f.orthonormal else 0,
+        overwrite=True,
     )
     qv, rv = mgs_qr(
         _column_major_stack(f.v, extra_v),
         ortho_prefix=rv_cols if f.orthonormal else 0,
+        overwrite=True,
     )
     core_f = ru[:, :ru_cols] @ f.s @ rv[:, :rv_cols].T
     return qu, qv, core_f, ru[:, ru_cols:], rv[:, rv_cols:]
@@ -115,8 +119,9 @@ def conservative_truncate(f, range_u, range_v, rows_u, rows_v, modes, target, ep
     projection onto the range makes the remainder moment-free, only the
     remainder is truncated, and the range coefficients are then solved for
     so the moments equal ``target`` exactly.  All corrections act on cores in
-    one joint basis.  Returns orthonormal factors of rank at most
-    rank(f) + range columns.
+    one joint basis.  Returns orthonormal column-major factors of rank at
+    most rank(f) + range columns; the layout carries into the next step's
+    Krylov seeds and every n-by-r pass over them.
     """
     modes = np.asarray(modes, dtype=float)
     qu, qv, core_f, cu, cv = joint_basis(f, range_u, range_v)
@@ -143,7 +148,9 @@ def conservative_truncate(f, range_u, range_v, rows_u, rows_v, modes, target, ep
     final = core2 + range_core(dsc * np.linalg.solve(geff_s, dsc * resid))
     # rounding-level modes of the corrected core would inflate the rank
     _, w1, sig, w2 = core_truncate(final, 1e-14 * np.linalg.norm(final))
-    return LowRankFactors(qu @ w1, np.diag(sig), qv @ w2, orthonormal=True)
+    return LowRankFactors(
+        _times(qu, w1, True), np.diag(sig), _times(qv, w2, True), orthonormal=True
+    )
 
 
 def lr_add(f, g, alpha=1.0, beta=1.0):

@@ -9,6 +9,7 @@ claim about low-rank factors.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -638,6 +639,47 @@ class TestChangCooperDelta:
         assert d.shape == (2, 2)
         for idx in np.ndindex(2, 2):
             assert d[idx] == chang_cooper_delta(float(w[idx]))
+
+    @staticmethod
+    def masked_delta(w):
+        """Each branch on its own entries only: the series and the expm1 form."""
+        w = np.asarray(w, dtype=float)
+        out = np.empty_like(w)
+        small = np.abs(w) < 1e-6
+        ws = w[small]
+        out[small] = 0.5 - ws / 12.0 + ws**3 / 720.0
+        wl = w[~small]
+        with np.errstate(over="ignore"):
+            out[~small] = 1.0 / wl - 1.0 / np.expm1(wl)
+        return out
+
+    def test_bitwise_equal_to_masked_form_without_warnings(self):
+        edges = [0.0, 0.999e-6, 1e-6, 1.001e-6, 700.0, 800.0, 1e-12, 0.3, 30.0]
+        w = np.array(edges + [-x for x in edges] + [np.nan])
+        rng = np.random.default_rng(38)
+        cases = [
+            w,
+            w.reshape(1, -1),
+            rng.uniform(-1e-5, 1e-5, 257),
+            rng.uniform(-40.0, 40.0, 257),
+            np.array(0.0),
+            np.array(-3e-7),
+            np.array(800.0),
+            np.empty(0),
+        ]
+        with warnings.catch_warnings():
+            # exact 0 (0/0 in the expm1 form) and overflow must not warn
+            warnings.simplefilter("error")
+            for case in cases:
+                got = chang_cooper_delta(case)
+                want = self.masked_delta(case)
+                assert got.shape == case.shape
+                assert np.array_equal(got, want, equal_nan=True), case
+                # every entry, with its sign of zero: the same bits
+                assert got.tobytes() == want.tobytes()
+            assert chang_cooper_delta(0.0) == 0.5
+            assert chang_cooper_delta(800.0) == 1.0 / 800.0
+            assert chang_cooper_delta(-800.0) == 1.0 + 1.0 / -800.0
 
 
 class TestLbfpOperators:

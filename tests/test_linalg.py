@@ -92,6 +92,18 @@ def indexed_thomas_solve(op, b):
     return y[:, 0] if b.ndim == 1 else y
 
 
+def per_column_apply(op, x):
+    """A @ x for one 1-D column, band by band in the order ``apply`` adds them."""
+    y = op.diag * x
+    y[1:] += op.lower * x[:-1]
+    y[:-1] += op.upper * x[1:]
+    if op.corner_upper:
+        y[0] += op.corner_upper * x[-1]
+    if op.corner_lower:
+        y[-1] += op.corner_lower * x[0]
+    return y
+
+
 # n in [2, 64], 1 to 8 columns, rhs layout, seed
 thomas_cases = st.tuples(
     st.integers(2, 64),
@@ -120,6 +132,32 @@ class TestTridiagonalOperator:
                 want = op.dense() @ x
                 got = op.apply(x)
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_apply_is_bitwise_the_same_in_every_layout(self, periodic):
+        rng = np.random.default_rng(12)
+        n, k = 40, 6
+        op = random_circulant(rng, n, False) if periodic else random_dd_tridiag(rng, n)
+        x = rng.standard_normal((n, k))
+        want = np.column_stack([per_column_apply(op, x[:, j]) for j in range(k)])
+        wide = np.zeros((n, 2 * k))
+        wide[:, ::2] = x
+        operands = {
+            "row-major": np.ascontiguousarray(x),
+            "column-major": np.asfortranarray(x),
+            "transposed view": np.ascontiguousarray(x.T).T,
+            "strided view": wide[:, ::2],
+        }
+        for name, operand in operands.items():
+            got = op.apply(operand)
+            assert np.array_equal(got, want), name
+            if operand.flags.f_contiguous:
+                # the result keeps a column-major operand's layout
+                assert got.flags.f_contiguous, name
+        for j in (0, k - 1):
+            assert np.array_equal(op.apply(x[:, j : j + 1]), want[:, j : j + 1])
+            assert np.array_equal(op.apply(np.array(x[:, j])), want[:, j])
+            assert op.apply(x[:, j]).shape == (n,)
 
     def test_identity_solve(self):
         op = TridiagonalOperator(np.ones(6), np.zeros(5), np.zeros(5))
@@ -482,6 +520,36 @@ class TestGramSchmidtLayouts:
         assert np.array_equal(qs[0], qs[1])
         assert qs[0].shape[1] == p + cand.shape[1] - 1
 
+    @pytest.mark.parametrize("shape", ["lomac", "heat-growth"])
+    @pytest.mark.parametrize("prefix", [True, False])
+    def test_mgs_qr_overwrite_works_in_place(self, shape, prefix):
+        q0, cand = gram_schmidt_case(shape)
+        p = q0.shape[1] if prefix else 0
+        m = np.asfortranarray(np.hstack([q0, cand]))
+        want_q, want_r = mgs_qr(m, ortho_prefix=p)
+        buf = m.copy(order="F")
+        q, r = mgs_qr(buf, ortho_prefix=p, overwrite=True)
+        # Q is a view of the buffer, with the copying path's bits
+        assert np.shares_memory(q, buf) and q.flags.f_contiguous
+        assert np.array_equal(q, want_q) and np.array_equal(r, want_r)
+        # a row-major input is not the work buffer, so it is left intact
+        row = np.ascontiguousarray(m)
+        want_q, want_r = mgs_qr(row, ortho_prefix=p)
+        q, r = mgs_qr(row, ortho_prefix=p, overwrite=True)
+        assert np.array_equal(row, m) and not np.shares_memory(q, row)
+        assert np.array_equal(q, want_q) and np.array_equal(r, want_r)
+
+    def test_mgs_qr_prefix_only_keeps_layout(self):
+        q0, _ = gram_schmidt_case("heat-growth")
+        for layout in ("C", "F"):
+            m = np.array(q0, order=layout)
+            q, r = mgs_qr(m, ortho_prefix=m.shape[1])
+            assert np.array_equal(q, m) and not np.shares_memory(q, m)
+            assert q.flags.c_contiguous if layout == "C" else q.flags.f_contiguous
+            assert np.array_equal(r, np.eye(m.shape[1]))
+            q, _ = mgs_qr(m, ortho_prefix=m.shape[1], overwrite=True)
+            assert q is m
+
 
 class TestReducedSvd:
     def test_diagonal_case(self):
@@ -554,6 +622,24 @@ class TestSolveSylvesterDense:
         a1 = np.array([[np.nan]])
         with pytest.raises(SpectralOverlap):
             sylvester_schur(a1, np.eye(1))
+        a = np.eye(4)
+        for bad in (np.nan, np.inf, -np.inf):
+            a[2, 1] = bad
+            for pair in ((a, np.eye(3)), (np.eye(3), a)):
+                with pytest.raises(SpectralOverlap):
+                    sylvester_schur(*pair)
+
+    def test_schur_factors_are_bitwise_scipy_schur(self):
+        # sylvester_schur calls dgees directly, with scipy's finite check and
+        # workspace query: the same T and Z as scipy.linalg.schur
+        rng = np.random.default_rng(46)
+        for m in range(1, 41):
+            a1 = rng.standard_normal((m, m))
+            a2 = np.asfortranarray(rng.standard_normal((m, m)) + m * np.eye(m))
+            got = sylvester_schur(a1, a2)
+            want = scipy.linalg.schur(a1, output="real") + scipy.linalg.schur(a2, output="real")
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), m
 
     def test_eigen_factors_match_scipy_on_spd_pairs(self):
         rng = np.random.default_rng(44)

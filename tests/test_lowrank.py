@@ -317,6 +317,73 @@ class TestJointBasisStacking:
                 assert np.array_equal(a, b), name
 
 
+class TestConservativeTruncateLayouts:
+    """LoMaC at lbfp's shape (rank 8, the three Maxwellian-weighted range
+    columns, the four moments of ``lbfp.lomac_project``) for state factors and
+    range blocks in every layout: the result is column-major, orthonormal and
+    pinned whatever layout comes in."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(45)
+        n = 2000
+        self.grid, self.dv = velocity_grid(n, 10.0)
+        self.u = np.linalg.qr(rng.standard_normal((n, 8)))[0]
+        self.v = np.linalg.qr(rng.standard_normal((n, 8)))[0]
+        self.s = np.diag(0.5 ** np.arange(8)) + 1e-3 * rng.standard_normal((8, 8))
+        w = np.exp(-(self.grid**2) / 2.0)
+        self.range_ = np.column_stack([w, self.grid * w, self.grid**2 * w])
+        self.rows = np.stack([np.ones_like(self.grid), self.grid, self.grid**2]) * self.dv
+        self.modes = np.zeros((4, 3, 3))
+        self.modes[0, 0, 0] = self.modes[1, 1, 0] = self.modes[2, 0, 1] = 1.0
+        self.modes[3, 2, 0] = self.modes[3, 0, 2] = 1.0
+        self.rng = rng
+
+    @staticmethod
+    def layouts(a):
+        return {
+            "row-major": np.ascontiguousarray(a),
+            "column-major": np.asfortranarray(a),
+            "transposed view": np.ascontiguousarray(a.T).T,
+        }
+
+    def moments(self, u, s, v):
+        return np.einsum("jab,ab->j", self.modes, (self.rows @ u) @ s @ (self.rows @ v).T)
+
+    def check(self, f, range_u, range_v, eps):
+        target = self.moments(f.u, f.s, f.v) * (1.0 + 1e-3 * self.rng.uniform(0.5, 1.0, 4))
+        out = conservative_truncate(
+            f, range_u, range_v, self.rows, self.rows, self.modes, target, eps
+        )
+        assert out.u.flags.f_contiguous and out.v.flags.f_contiguous
+        got = self.moments(out.u, out.s, out.v)
+        assert np.all(np.abs(got - target) <= 1e-12 * np.abs(target)), got - target
+        for q in (out.u, out.v):
+            assert np.abs(q.T @ q - np.eye(out.rank)).max() <= 1e-13
+        return out
+
+    def test_column_major_pinned_orthonormal_in_every_layout(self):
+        us, vs = self.layouts(self.u), self.layouts(self.v)
+        for name in us:
+            f = LowRankFactors(us[name], self.s, vs[name], orthonormal=True)
+            for range_ in self.layouts(self.range_).values():
+                out = self.check(f, range_, range_, 1e-3)
+                assert out.rank <= f.rank + 3, name
+
+    def test_range_column_inside_state_span(self):
+        # the joint basis drops the dependent range column, and the pin still
+        # holds through its coordinates in the state's columns
+        range_u = self.range_.copy()
+        range_u[:, 1] = self.u @ self.rng.standard_normal(8)
+        us, vs = self.layouts(self.u), self.layouts(self.v)
+        for name in us:
+            f = LowRankFactors(us[name], self.s, vs[name], orthonormal=True)
+            qu, _, _, _, _ = joint_basis(f, range_u, self.range_)
+            assert qu.shape[1] == f.rank + 2
+            for eps in (0.0, 1e-3):
+                out = self.check(f, range_u, self.range_, eps)
+                assert out.rank <= f.rank + 3
+
+
 class TestConservativeTruncate:
     """Two random separable functionals, a mode set neither model uses."""
 
