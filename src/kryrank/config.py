@@ -5,7 +5,7 @@ Grammar (all keys lowercase; unknown top-level keys rejected):
     kind: heat-convergence | lbfp-relax | complexity-sweep   (required)
     integrator: be | dirk2 | dirk3                           (required)
     grid:
-      n: int or [int, ...]     # >= 3, lbfp kinds >= 8       (required)
+      n: int or [int, ...]     # >= 3, lbfp kinds >= 8, distinct (required)
     time:
       t_final: float                                         (required)
       lambda: [float, ...]     # dt = lambda * dx^2; heat-convergence only
@@ -15,8 +15,8 @@ Grammar (all keys lowercase; unknown top-level keys rejected):
     tolerances: float          # residual constant C; tolerance C * dt^(order+1)
     lomac: bool                # heat conservative correction, default true
     pipeline: adaptive | dense # default adaptive
-    diffusion: [d1, d2]        # heat, default [0.5, 0.5]
-    species: [{name, mass, charge, density, temperature, drift}, ...]
+    diffusion: [d1, d2]        # heat, each > 0, default [0.5, 0.5]
+    species: [{name, mass, charge, density, temperature, drift}, ...]  # distinct names
     grid_halfwidth: float      # velocity span in thermal speeds, default 10
     timing_reps: int           # complexity-sweep repetitions, default 5
     seed: int                  # default 0
@@ -126,13 +126,16 @@ def _parse_species(blocks):
         for req in ("name", "mass", "charge"):
             if req not in blk:
                 raise ConfigError("missing required key", "%s.%s" % (path, req))
+        name = str(blk["name"])
+        if name in (sp.name for sp in out):
+            raise ConfigError("duplicate species name %r" % name, path + ".name")
         drift = blk.get("drift", (0.0, 0.0))
         drift = _as_list(drift)
         if len(drift) != 2:
             raise ConfigError("drift needs 2 components", path + ".drift")
         try:
             sp = SpeciesConfig(
-                name=str(blk["name"]),
+                name=name,
                 mass=_as_float(blk["mass"], path + ".mass", positive=True),
                 charge=_as_float(blk["charge"], path + ".charge"),
                 density=_as_float(
@@ -179,6 +182,8 @@ def validate_config(doc):
     ns = tuple(_as_int(v, "grid.n", minimum=n_min) for v in _as_list(grid["n"]))
     if not ns:
         raise ConfigError("needs at least one grid size", "grid.n")
+    if len(set(ns)) != len(ns):
+        raise ConfigError("grid sizes must be distinct, got %s" % list(ns), "grid.n")
     if kind != "complexity-sweep" and len(ns) != 1:
         raise ConfigError("exactly one grid size for kind %s" % kind, "grid.n")
 
@@ -237,7 +242,7 @@ def validate_config(doc):
     if len(diff) != 2:
         raise ConfigError("diffusion needs 2 entries", "diffusion")
     diffusion = tuple(
-        _as_float(v, "diffusion[%d]" % i, nonnegative=True)
+        _as_float(v, "diffusion[%d]" % i, positive=True)
         for i, v in enumerate(diff)
     )
 

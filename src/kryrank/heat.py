@@ -23,8 +23,8 @@ def heat_grid(n):
 
 def build_heat_operator(n, d, dx):
     """Periodic central second difference scaled by the diffusivity d."""
-    if d < 0:
-        raise NonPositiveDiffusion("diffusivity must be >= 0, got %g" % d)
+    if not d > 0:
+        raise NonPositiveDiffusion("diffusivity must be > 0, got %g" % d)
     if n < 3:
         raise DimensionMismatch("periodic stencil needs at least 3 points")
     k = d / dx**2

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BasisSaturated, DimensionMismatch, MaxIterationsExceeded
-from .linalg import _EPS, _bcgs2, _times, mgs_qr, solve_sylvester_dense, sylvester_schur
+from .linalg import (
+    _EPS, _bcgs2, _column_major_stack, _times, mgs_qr, solve_sylvester_dense, sylvester_schur,
+)
 from .lowrank import LowRankFactors
 
 
@@ -83,7 +85,7 @@ def grow_basis(basis, op):
         raise BasisSaturated("no candidate column survived deflation")
     n_fwd = sum(j < nf for j in accepted)
     return ExtendedKrylovBasis(
-        np.hstack([basis.q, new]), new[:, :n_fwd], new[:, n_fwd:]
+        _column_major_stack(basis.q, new), new[:, :n_fwd], new[:, n_fwd:]
     )
 
 
@@ -104,19 +106,18 @@ def _galerkin_side(op, q):
     """Reduced operator, coefficient block C and remainder P of A Q = Q C + P.
 
     A Q is projected out of Q in two blocked passes, in place; C adds up
-    both passes' coefficients, so P is orthogonal to Q to rounding.  P has
-    Q's layout (``apply`` keeps it), and both updates of P are formed in it.
+    both passes' coefficients, so P is orthogonal to Q to rounding.  P is
+    column-major like Q (``apply`` keeps the layout), and so are both updates.
     """
     p = op.apply(q)
-    col_major = p.flags.f_contiguous
     a_red = q.T @ p
     if op.symmetric:
         # exactly symmetric, so ``sylvester_schur`` may use eigh; C below is
         # still Q^T A Q to rounding, which is all the residual needs
         a_red = (a_red + a_red.T) / 2
-    p -= _times(q, a_red, col_major)
+    p -= _times(q, a_red)
     c2 = q.T @ p
-    p -= _times(q, c2, col_major)
+    p -= _times(q, c2)
     return a_red, a_red + c2, p
 
 

@@ -29,18 +29,11 @@ directly, with ``scipy.linalg.schur``'s finite check and workspace query, so
 they have its bits without its wrapper overhead.  scipy is imported only by
 the non-symmetric branches, at their first call, so symmetric (heat) runs
 load numpy alone.
-Layout rule: the n-by-k blocks a step hands on are column-major, and no
-layer copies them into another layout.  ``mgs_qr`` works in a column-major
-buffer (in place with ``overwrite``) and keeps a prefix-only input's layout,
-``lowrank.conservative_truncate`` returns column-major factors, so the next
-step's ``seed_basis`` is column-major too, and ``apply`` returns its
-operand's layout, scaling contiguous rows of x.T for a column-major x.  Every
-n-by-k product that updates a column-major block (the Gram-Schmidt
-projections, the Galerkin remainder P) is formed in that block's layout by
-``_times``, since a row-major product subtracted from it costs a strided
-pass; on OpenBLAS it has the row-major product's bits.  A basis grown by
-``grow_basis`` is row-major (``np.hstack``) and keeps the row-major
-products, because a column-major one rounds differently against it.
+Layout rule: every n-by-k block the package creates is column-major, and
+every n-by-k product is formed column-major by ``_times``.  ``mgs_qr``
+works in a column-major buffer (in place with ``overwrite``),
+``_column_major_stack`` stacks blocks into one, and ``apply`` returns its
+operand's layout, scaling contiguous rows of x.T for a column-major x.
 """
 
 import math
@@ -250,9 +243,18 @@ class TridiagonalOperator:
         return x[:, 0] if was_vec else x
 
 
-def _times(a, x, col_major):
-    """a @ x, formed column-major when ``col_major`` (the layout of the block it updates)."""
-    return (x.T @ a.T).T if col_major else a @ x
+def _times(a, x):
+    """a @ x, formed column-major: a row-major product subtracted from a
+    column-major block costs a strided pass over it."""
+    return (x.T @ a.T).T
+
+
+def _column_major_stack(a, b):
+    """[a | b] in one column-major buffer, which ``mgs_qr`` can work in in place."""
+    out = np.empty((a.shape[0], a.shape[1] + b.shape[1]), order="F")
+    out[:, : a.shape[1]] = a
+    out[:, a.shape[1] :] = b
+    return out
 
 
 def _bcgs2(q, cand, drop, cap):
@@ -268,13 +270,9 @@ def _bcgs2(q, cand, drop, cap):
     even for candidates that nearly lie in span(q); without a prefix the
     in-block passes alone leave it orthonormal.
 
-    ``cand`` is column-major.  When ``q`` is too (``mgs_qr``'s prefix, or a
-    basis fresh from ``seed_basis``), every n-by-k product that updates the
-    block, both projections and the Cholesky finish, is formed column-major,
-    with no strided pass over the block; on OpenBLAS it has the row-major
-    product's bits, which ``tests/test_linalg.py`` checks.  Against a
-    row-major ``q`` (a grown basis) the column-major form rounds
-    differently, so the row-major products stay.  The in-block products go
+    ``cand`` is column-major, and every n-by-k product that updates it, both
+    projections and the Cholesky finish, is formed column-major by
+    ``_times``, whatever the layout of ``q``.  The in-block products go
     through ``np.dot``, which gives ``matmul``'s bits without the overhead
     ``matmul`` has on a one-column block.
 
@@ -283,9 +281,8 @@ def _bcgs2(q, cand, drop, cap):
     ``accepted`` the indices of the accepted candidates.
     """
     drop = np.broadcast_to(drop, cand.shape[1:])
-    col_major = q.flags.f_contiguous
     if q.shape[1]:
-        cand -= _times(q, q.T @ cand, col_major)
+        cand -= _times(q, q.T @ cand)
     accepted = []
     for j in range(cand.shape[1]):
         kp = len(accepted)
@@ -302,11 +299,11 @@ def _bcgs2(q, cand, drop, cap):
             accepted.append(j)
     new = cand[:, : len(accepted)]
     if q.shape[1] and accepted:
-        new -= _times(q, q.T @ new, col_major)
+        new -= _times(q, q.T @ new)
         # Cholesky QR of a block orthonormal to rounding: the triangular
         # factor is near I, so its inverse is well conditioned and keeps signs
         r_inv = np.linalg.inv(np.linalg.cholesky(new.T @ new)).T
-        new[:] = _times(new, r_inv, col_major)
+        new[:] = _times(new, r_inv)
     return new, accepted
 
 
@@ -317,8 +314,7 @@ def mgs_qr(m, ortho_prefix=0, overwrite=False):
     and at most n columns survive; R = Q^T M, so Q @ R reproduces M up to
     the dropped remainders.  The first ``ortho_prefix`` columns are taken as
     already orthonormal and enter Q verbatim with identity rows in R; the
-    rest are orthonormalized against them by ``_bcgs2``.  Q keeps the layout
-    of M when every column is a prefix column, and is column-major otherwise.
+    rest are orthonormalized against them by ``_bcgs2``.  Q is column-major.
 
     With ``overwrite`` a column-major M is the work buffer itself: Q is a
     view of its leading columns, and only the columns after the prefix,
@@ -338,10 +334,11 @@ def mgs_qr(m, ortho_prefix=0, overwrite=False):
     p = int(ortho_prefix)
     if not 0 <= p <= min(n, k):
         raise DimensionMismatch("ortho_prefix out of range")
+    in_place = overwrite and m.flags.f_contiguous
     if p == k:
-        return (m if overwrite else m.copy(order="A")), np.eye(k)
+        return (m if in_place else m.copy(order="F")), np.eye(k)
     drop = _MGS_DROP * np.linalg.norm(m)
-    if overwrite and m.flags.f_contiguous:
+    if in_place:
         work, tail = m, np.array(m[:, p:], order="F")
     else:
         work, tail = np.array(m, order="F"), m[:, p:]

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import _times, mgs_qr, reduced_svd
+from .linalg import _column_major_stack, _times, mgs_qr, reduced_svd
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,7 @@ def truncate(f, eps):
         v, r2 = mgs_qr(f.v)
         core = r1 @ f.s @ r2.T
     _, w1, sig, w2 = core_truncate(core, eps)
-    return LowRankFactors(u @ w1, np.diag(sig), v @ w2, orthonormal=True)
-
-
-def _column_major_stack(a, b):
-    """[a | b] in one column-major buffer, which ``mgs_qr`` can work in in place."""
-    out = np.empty((a.shape[0], a.shape[1] + b.shape[1]), order="F")
-    out[:, : a.shape[1]] = a
-    out[:, a.shape[1] :] = b
-    return out
+    return LowRankFactors(_times(u, w1), np.diag(sig), _times(v, w2), orthonormal=True)
 
 
 def joint_basis(f, extra_u, extra_v):
@@ -148,17 +140,15 @@ def conservative_truncate(f, range_u, range_v, rows_u, rows_v, modes, target, ep
     final = core2 + range_core(dsc * np.linalg.solve(geff_s, dsc * resid))
     # rounding-level modes of the corrected core would inflate the rank
     _, w1, sig, w2 = core_truncate(final, 1e-14 * np.linalg.norm(final))
-    return LowRankFactors(
-        _times(qu, w1, True), np.diag(sig), _times(qv, w2, True), orthonormal=True
-    )
+    return LowRankFactors(_times(qu, w1), np.diag(sig), _times(qv, w2), orthonormal=True)
 
 
 def lr_add(f, g, alpha=1.0, beta=1.0):
     """alpha*F + beta*G in factored form by block stacking; caller truncates."""
     if f.shape != g.shape:
         raise DimensionMismatch("lr_add: shapes %s and %s differ" % (f.shape, g.shape))
-    u = np.hstack([f.u, g.u])
-    v = np.hstack([f.v, g.v])
+    u = _column_major_stack(f.u, g.u)
+    v = _column_major_stack(f.v, g.v)
     rf, rg = f.rank, g.rank
     s = np.zeros((rf + rg, rf + rg))
     s[:rf, :rf] = alpha * f.s

@@ -155,6 +155,28 @@ class TestValidate:
             assert "config error" in err and "grid.n" in err
         assert not (tmp_path / "out_l").exists()
 
+    def test_duplicate_species_names_exit_two(self, tmp_path, capsys):
+        sp = "  - {name: a, mass: 1.0, charge: 1.0, drift: [1.0, 0.0]}\n"
+        cfg = write_cfg(
+            tmp_path,
+            "kind: lbfp-relax\nintegrator: be\ngrid:\n  n: 16\n"
+            "time:\n  t_final: 0.2\n  dt: 0.1\nspecies:\n" + sp + sp
+            + "output: %s\n" % (tmp_path / "out_l"),
+        )
+        for command in ("validate", "run"):
+            assert main([command, cfg]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "species[1].name" in err
+        assert not (tmp_path / "out_l").exists()
+
+    def test_zero_diffusion_exits_two(self, tmp_path, capsys):
+        cfg = heat_cfg(tmp_path, extra="diffusion: [0.5, 0.0]\n")
+        for command in ("validate", "run", "compare"):
+            assert main([command, cfg]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "diffusion[1]" in err
+        assert not (tmp_path / "out_h").exists()
+
 
 class TestRunHeat:
     def test_writes_both_files_and_reports(self, tmp_path, capsys):

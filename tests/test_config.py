@@ -126,6 +126,10 @@ class TestRejections:
         rejected({**heat_doc(), "grid": {"n": 2}}, "grid.n")
         rejected({**heat_doc(), "grid": {"n": "wide"}}, "grid.n")
         rejected({**heat_doc(), "grid": {"n": [32, 64]}}, "grid.n")
+        # a repeated size would give the sweep's slope fit a singular design
+        err = rejected(sweep_doc(grid={"n": [16, 16]}), "grid.n")
+        assert "distinct" in str(err)
+        rejected(sweep_doc(grid={"n": [16, 24, 16.0]}), "grid.n")
 
     def test_lbfp_kinds_need_eight_velocity_cells(self):
         # the velocity grid rejects n < 8 at run time; heat runs at n >= 3
@@ -161,6 +165,9 @@ class TestRejections:
         rejected(heat_doc(pipeline="sparse"), "pipeline")
         rejected(heat_doc(diffusion=[0.5]), "diffusion")
         rejected(heat_doc(diffusion=[0.5, -0.1]), "diffusion[1]")
+        # a zero diffusivity builds a corner-free, hence non-circulant, operator
+        rejected(heat_doc(diffusion=[0.5, 0.0]), "diffusion[1]")
+        rejected(heat_doc(diffusion=[-0.0, 0.5]), "diffusion[0]")
 
     def test_species_rules(self):
         rejected(lbfp_doc(species=[]), "species")
@@ -177,6 +184,17 @@ class TestRejections:
             ),
             "species[0].drift",
         )
+
+    def test_species_names_are_distinct(self):
+        # the drivers key each species' CSV series by its name
+        sp = {"mass": 1.0, "charge": 1.0}
+        doc = lbfp_doc(
+            species=[{"name": "a", **sp}, {"name": "b", **sp}, {"name": "a", **sp}]
+        )
+        err = rejected(doc, "species[2].name")
+        assert "duplicate" in str(err) and "'a'" in str(err)
+        # names compare as the strings they become
+        rejected(lbfp_doc(species=[{"name": 1, **sp}, {"name": "1", **sp}]), "species[1].name")
 
     def test_misc_scalars(self):
         rejected(heat_doc(grid_halfwidth=0.0), "grid_halfwidth")

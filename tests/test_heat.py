@@ -7,8 +7,10 @@ correction's complement.
 """
 
 import numpy as np
+import pytest
 
 from kryrank.dirk import dirk_step, get_table
+from kryrank.errors import NonPositiveDiffusion
 from kryrank.heat import (
     build_heat_operator,
     discrete_mass,
@@ -74,6 +76,12 @@ class TestHeatOperator:
             mode = np.cos(2.0 * np.pi * k * x)
             got = d.apply(mode[:, None])[:, 0]
             assert np.abs(got - lam * mode).max() <= 1e-10 * abs(lam)
+
+    @pytest.mark.parametrize("dcoef", [0.0, -0.0, -0.5, float("nan")])
+    def test_non_positive_diffusivity_rejected(self, dcoef):
+        # d = 0 would build a corner-free operator that no circulant solve accepts
+        with pytest.raises(NonPositiveDiffusion, match="must be > 0"):
+            build_heat_operator(16, dcoef, 1.0 / 16)
 
     def test_grid_nodes(self):
         x, dx = heat_grid(8)

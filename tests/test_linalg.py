@@ -15,8 +15,15 @@ from hypothesis import strategies as st
 
 from kryrank.dirk import assemble_stage_operator
 from kryrank.errors import DimensionMismatch, SingularOperator, SpectralOverlap
-from kryrank.heat import build_heat_operator
-from kryrank.lbfp import PairCoefficients, build_lbfp_operators, velocity_grid
+from kryrank.heat import build_heat_operator, heat_initial_condition
+from kryrank.krylov import grow_basis, seed_basis
+from kryrank.lbfp import (
+    PairCoefficients,
+    SpeciesConfig,
+    bi_maxwellian_factors,
+    build_lbfp_operators,
+    velocity_grid,
+)
 from kryrank.linalg import (
     TridiagonalOperator,
     _bcgs2,
@@ -24,6 +31,13 @@ from kryrank.linalg import (
     reduced_svd,
     solve_sylvester_dense,
     sylvester_schur,
+)
+from kryrank.lowrank import (
+    LowRankFactors,
+    conservative_truncate,
+    joint_basis,
+    lr_add,
+    truncate,
 )
 
 
@@ -456,9 +470,9 @@ def span_remainders(q, m):
     return np.linalg.norm(m - q @ (q.T @ m), axis=0)
 
 
-def row_major_bcgs2(q, cand, drop):
-    """``_bcgs2`` with every product formed row-major (``q @ x``), no cap."""
-    cand -= q @ (q.T @ cand)
+def column_major_bcgs2(q, cand, drop):
+    """``_bcgs2`` written out with every n-by-k product formed column-major, no cap."""
+    cand -= ((q.T @ cand).T @ q.T).T
     accepted = []
     for j in range(cand.shape[1]):
         v = cand[:, j]
@@ -470,17 +484,18 @@ def row_major_bcgs2(q, cand, drop):
             cand[:, len(accepted)] = v / nrm
             accepted.append(j)
     new = cand[:, : len(accepted)]
-    new -= q @ (q.T @ new)
-    new[:] = new @ np.linalg.inv(np.linalg.cholesky(new.T @ new)).T
+    new -= ((q.T @ new).T @ q.T).T
+    r_inv = np.linalg.inv(np.linalg.cholesky(new.T @ new)).T
+    new[:] = (r_inv.T @ new.T).T
     return new, accepted
 
 
 class TestGramSchmidtLayouts:
-    """``_bcgs2`` forms its products in a column-major prefix's own layout and
-    keeps the row-major products for a row-major one: both keep the contract."""
+    """``_bcgs2`` forms every product column-major, against a prefix in either
+    layout, and keeps its orthonormality and span contract."""
 
     @pytest.mark.parametrize("shape", ["lomac", "heat-growth"])
-    def test_bcgs2_row_and_column_major_prefix(self, shape):
+    def test_bcgs2_matches_column_major_reference(self, shape):
         q, cand = gram_schmidt_case(shape)
         n, p = q.shape
         # grow_basis's drop: the rounding level of the first projection
@@ -490,11 +505,11 @@ class TestGramSchmidtLayouts:
             new, accepted = _bcgs2(
                 np.array(q, order=layout), np.array(cand, order="F"), drop, n - p
             )
+            assert new.flags.f_contiguous
             full = np.hstack([q, new])
             assert np.linalg.norm(full.T @ full - np.eye(full.shape[1]), 2) <= 1e-13
             assert np.all(span_remainders(full, cand) <= drop)
-            # against either prefix the result has the row-major products' bits
-            want, _ = row_major_bcgs2(
+            want, _ = column_major_bcgs2(
                 np.array(q, order=layout), np.array(cand, order="F"), drop
             )
             assert np.array_equal(new, want)
@@ -539,16 +554,88 @@ class TestGramSchmidtLayouts:
         assert np.array_equal(row, m) and not np.shares_memory(q, row)
         assert np.array_equal(q, want_q) and np.array_equal(r, want_r)
 
-    def test_mgs_qr_prefix_only_keeps_layout(self):
+    def test_mgs_qr_prefix_only_is_column_major(self):
         q0, _ = gram_schmidt_case("heat-growth")
         for layout in ("C", "F"):
             m = np.array(q0, order=layout)
             q, r = mgs_qr(m, ortho_prefix=m.shape[1])
             assert np.array_equal(q, m) and not np.shares_memory(q, m)
-            assert q.flags.c_contiguous if layout == "C" else q.flags.f_contiguous
+            assert q.flags.f_contiguous
             assert np.array_equal(r, np.eye(m.shape[1]))
+            # only a column-major M is eligible to be the work buffer
             q, _ = mgs_qr(m, ortho_prefix=m.shape[1], overwrite=True)
-            assert q is m
+            assert (q is m) == (layout == "F")
+            assert q.flags.f_contiguous and np.array_equal(q, q0)
+
+
+class TestColumnMajorContract:
+    """Every n-by-k block the package returns is column-major, whatever the
+    layout of the blocks it was given."""
+
+    n = 64
+
+    def block(self, k, layout, seed=0, orthonormal=False):
+        a = np.random.default_rng(seed).standard_normal((self.n, k))
+        if orthonormal:
+            a = np.linalg.qr(a)[0]
+        return np.array(a, order=layout)
+
+    def factors(self, layout, orthonormal):
+        u = self.block(3, layout, 1, orthonormal)
+        v = self.block(3, layout, 2, orthonormal)
+        return LowRankFactors(u, np.diag([3.0, 2.0, 1.0]), v, orthonormal=orthonormal)
+
+    @staticmethod
+    def assert_column_major(*blocks):
+        for blk in blocks:
+            assert blk.shape[1] >= 2 and blk.flags.f_contiguous, blk.shape
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_krylov_bases(self, layout):
+        op = random_dd_tridiag(np.random.default_rng(3), self.n)
+        for orthonormal in (False, True):
+            basis = seed_basis(self.block(3, layout, 4, orthonormal), orthonormal)
+            self.assert_column_major(basis.q)
+            for _ in range(2):
+                basis = grow_basis(basis, op)
+                self.assert_column_major(basis.q, basis.fwd_block, basis.inv_block)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_qr(self, layout):
+        prefix = self.block(3, layout, 5, orthonormal=True)
+        m = np.array(np.hstack([prefix, self.block(4, "F", 6)]), order=layout)
+        for a, p in ((m, 0), (m, 3), (prefix, 3)):
+            for overwrite in (False, True):
+                q, _ = mgs_qr(a.copy(order="K"), ortho_prefix=p, overwrite=overwrite)
+                self.assert_column_major(q)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_lowrank_operations(self, layout):
+        grid, dv = velocity_grid(self.n, 8.0)
+        w = np.exp(-(grid**2) / 2.0)
+        range_ = np.array(np.column_stack([w, grid * w, grid**2 * w]), order=layout)
+        rows = np.stack([np.ones_like(grid), grid, grid**2]) * dv
+        modes = np.zeros((4, 3, 3))
+        modes[0, 0, 0] = modes[1, 1, 0] = modes[2, 0, 1] = 1.0
+        modes[3, 2, 0] = modes[3, 0, 2] = 1.0
+        for orthonormal in (False, True):
+            f = self.factors(layout, orthonormal)
+            g = self.factors(layout, not orthonormal)
+            qu, qv, _, _, _ = joint_basis(f, range_, range_)
+            self.assert_column_major(qu, qv)
+            out = truncate(f, 0.0)
+            self.assert_column_major(out.u, out.v)
+            target = np.einsum("jab,ab->j", modes, rows @ f.materialize() @ rows.T)
+            out = conservative_truncate(f, range_, range_, rows, rows, modes, target, 1e-3)
+            self.assert_column_major(out.u, out.v)
+            out = lr_add(f, g)
+            self.assert_column_major(out.u, out.v)
+
+    def test_initial_conditions(self):
+        grid, _ = velocity_grid(self.n, 8.0)
+        species = SpeciesConfig("a", mass=1.0, charge=1.0, drift=(1.0, -0.5))
+        for f in (heat_initial_condition(self.n), bi_maxwellian_factors(grid, grid, species)):
+            self.assert_column_major(f.u, f.v)
 
 
 class TestReducedSvd:
