@@ -52,7 +52,6 @@ from .krylov import (
 from .lbfp import (
     LbfpSystem,
     MomentState,
-    PairCoefficients,
     SpeciesConfig,
     benchmark_species,
     bi_maxwellian_factors,

@@ -13,11 +13,11 @@ Grammar (all keys lowercase; unknown top-level keys rejected):
     truncation:
       eps_rel: float           # default 1e-10 (heat) / 1e-8 (lbfp kinds)
     tolerances: float          # residual constant C; tolerance C * dt^(order+1)
-    lomac: bool                # heat conservative correction, default true
-    pipeline: adaptive | dense # default adaptive
-    diffusion: [d1, d2]        # heat, each > 0, default [0.5, 0.5]
-    species: [{name, mass, charge, density, temperature, drift}, ...]  # distinct names
-    grid_halfwidth: float      # velocity span in thermal speeds, default 10
+    lomac: bool                # heat-convergence: conservative correction, default true
+    pipeline: adaptive | dense # complexity-sweep, default adaptive
+    diffusion: [d1, d2]        # heat-convergence, each > 0, default [0.5, 0.5]
+    species: [{name, mass, charge, density, temperature, drift}, ...]  # lbfp kinds
+    grid_halfwidth: float      # lbfp kinds: velocity span in thermal speeds, default 10
     timing_reps: int           # complexity-sweep repetitions, default 5
     seed: int                  # default 0
     output: str                # default "out"
@@ -38,11 +38,15 @@ PIPELINES = ("adaptive", "dense")
 
 _DEFAULT_TOL = {"be": 1.0, "dirk2": 1e-3, "dirk3": 1e-3}
 
-_TOP_KEYS = {
-    "kind", "integrator", "grid", "time", "truncation", "tolerances",
-    "lomac", "pipeline", "diffusion", "species", "grid_halfwidth",
-    "timing_reps", "seed", "output",
-}
+# every top-level key and the kinds that read it; the other kinds reject it
+_TOP_KEYS = dict.fromkeys(
+    ("kind", "integrator", "grid", "time", "truncation", "tolerances", "seed", "output"), KINDS
+)
+_TOP_KEYS.update(
+    lomac=("heat-convergence",), diffusion=("heat-convergence",),
+    species=("lbfp-relax", "complexity-sweep"), grid_halfwidth=("lbfp-relax", "complexity-sweep"),
+    pipeline=("complexity-sweep",), timing_reps=("complexity-sweep",),
+)
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,17 @@ def _parse_species(blocks):
         for req in ("name", "mass", "charge"):
             if req not in blk:
                 raise ConfigError("missing required key", "%s.%s" % (path, req))
-        name = str(blk["name"])
+        name = blk["name"]
+        # names head CSV cells, so a separator, quote or line break corrupts rows
+        text = str(name)
+        if isinstance(name, bool) or not isinstance(name, (str, int, float)) or (
+            text.splitlines() != [text] or any(c in text for c in ",\"'")
+        ):
+            raise ConfigError(
+                "expected a string or number with nonempty text and no comma, quote "
+                "or line break, got %r" % (name,), path + ".name"
+            )
+        name = text
         if name in (sp.name for sp in out):
             raise ConfigError("duplicate species name %r" % name, path + ".name")
         drift = blk.get("drift", (0.0, 0.0))
@@ -161,7 +175,7 @@ def validate_config(doc):
     """Turn a parsed YAML mapping into an ExperimentConfig or raise ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
-    unknown = sorted(set(doc) - _TOP_KEYS)
+    unknown = sorted(set(doc) - set(_TOP_KEYS))
     if unknown:
         raise ConfigError("unknown keys: %s" % ", ".join(unknown))
 
@@ -174,6 +188,9 @@ def validate_config(doc):
             "must be one of %s, got %r" % ("/".join(INTEGRATORS), integrator),
             "integrator",
         )
+    for key in doc:
+        if kind not in _TOP_KEYS[key]:
+            raise ConfigError("applies to %s only, not %s" % ("/".join(_TOP_KEYS[key]), kind), key)
 
     grid = _section(doc, "grid")
     if "n" not in grid:

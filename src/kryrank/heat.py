@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveDiffusion
 from .linalg import TridiagonalOperator
-from .lowrank import LowRankFactors, conservative_truncate, truncate
+from .lowrank import LowRankFactors, conservative_truncate, lr_moments, truncate
 
 # rebound by the per-layer tracer in perfbench/layers.py; unused here
 from .lowrank import core_truncate, joint_basis  # noqa: F401
@@ -52,28 +52,26 @@ def heat_initial_condition(n1, n2=None):
     return truncate(LowRankFactors(u, np.eye(2), v), 0.0)
 
 
+def _mass_functional(shape, dx, dy):
+    """(rows_u, rows_v, modes) of the cell sum dx*dy*sum_ij F_ij for ``lr_moments``."""
+    n1, n2 = shape
+    return np.full((1, n1), dx), np.full((1, n2), dy), np.ones((1, 1, 1))
+
+
 def discrete_mass(f, dx, dy):
     """Cell-sum integral dx*dy*sum_ij F_ij, computed from the factors."""
-    cu = f.u.sum(axis=0)
-    cv = f.v.sum(axis=0)
-    return float(dx * dy * (cu @ f.s @ cv))
+    return float(lr_moments(f, *_mass_functional(f.shape, dx, dy))[0])
 
 
 def lomac_null_correction(f, n_exact, dx, dy, eps):
     """Mass-preserving truncation for a generator with a constant null mode.
 
     The one-moment case of ``conservative_truncate``: the range is the
-    constant, the functional the cell sum dx*dy*sum_ij F_ij, pinned to
-    ``n_exact``.  Returns orthonormal factors of rank at most rank(f)+1.
+    constant, the functional the cell sum ``discrete_mass`` measures, pinned
+    to ``n_exact``.  Returns orthonormal factors of rank at most rank(f)+1.
     """
     n1, n2 = f.shape
+    ones_u, ones_v = np.ones((n1, 1)), np.ones((n2, 1))
     return conservative_truncate(
-        f,
-        np.ones((n1, 1)),
-        np.ones((n2, 1)),
-        np.full((1, n1), dx),
-        np.full((1, n2), dy),
-        np.ones((1, 1, 1)),
-        [n_exact],
-        eps,
+        f, ones_u, ones_v, *_mass_functional(f.shape, dx, dy), [n_exact], eps
     )

@@ -161,7 +161,6 @@ class SolveDiagnostics:
     residual: float
     rank_u: int
     rank_v: int
-    history: list = field(default_factory=list)
     stage_residuals: list = field(default_factory=list)
     reject_stages: list = field(default_factory=list)
 
@@ -240,9 +239,7 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
             cores.append(sk)
         history.append(stage_res[-1])
         if len(cores) == s:
-            diag = SolveDiagnostics(
-                m, stage_res[-1], ub.rank, vb.rank, history, stage_res, rejects
-            )
+            diag = SolveDiagnostics(m, stage_res[-1], ub.rank, vb.rank, stage_res, rejects)
             return ub.q, cores, vb.q, diag
         if m == max_iter:
             break

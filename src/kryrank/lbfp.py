@@ -135,27 +135,19 @@ class MomentState:
 
 
 def kinetic_moments(f, grid1, grid2, dv):
-    n, g1, g2, e = lr_moments(f, grid1, grid2, dv)
-    return MomentState(n, g1, g2, e)
-
-
-@dataclass(frozen=True)
-class PairCoefficients:
-    """Drag center, diffusion, and rate for one ordered species pair."""
-
-    nu: float
-    u1: float
-    u2: float
-    diffusion: float
+    """MomentState of F by the functionals ``lomac_project`` pins: energy is |v|^2 / 2."""
+    n, g1, g2, v2 = lr_moments(f, *_moment_functionals(grid1, grid2, dv)).tolist()
+    return MomentState(n, g1, g2, 0.5 * v2)
 
 
 def collision_coefficients(states, species):
-    """Pair table coeffs[a][b] evaluated at the given moment states.
+    """Pair table at the given moment states as one (s, s, 4) array.
 
-    The formulas are those of ``_pair_table``, which the moment system uses.
+    coeffs[a, b] = (nu, u1, u2, D) of the ordered pair (a, b), and coeffs[a]
+    is species a's (s, 4) block that ``build_lbfp_operators`` takes.  The
+    formulas are those of ``_pair_table``, which the moment system uses.
     """
-    table = np.stack(_pair_table(_pack(states), _species_arrays(states, species)), -1)
-    return [[PairCoefficients(*pair) for pair in row] for row in table.tolist()]
+    return np.stack(_pair_table(_pack(states), _species_arrays(states, species)), -1)
 
 
 def moment_rhs(states, species):
@@ -383,31 +375,30 @@ def chang_cooper_delta(w):
 def _direction_operator(grid, dv, pairs, component):
     """Zero-flux Chang-Cooper generator for one velocity direction.
 
-    Face fluxes phi_k = S_k F_k - L_k F_{k-1} sit between cells k-1 and k;
-    rows are flux differences, so every column sums to zero and the cell sum
-    is invariant.
+    ``pairs`` is a (p, 4) block of (nu, u1, u2, D) rows, one per partner
+    species.  Face fluxes phi_k = S_k F_k - L_k F_{k-1} sit between cells k-1
+    and k; every pair's S and L are formed in one pass over (p, n-1) arrays
+    and summed over the pairs.  Rows are flux differences, so every column
+    sums to zero and the cell sum is invariant.
     """
-    n = grid.size
-    faces = grid[:-1] + 0.5 * dv
-    s = np.zeros(n - 1)
-    l = np.zeros(n - 1)
-    for pc in pairs:
-        d = pc.diffusion
-        if not d > 0:
-            raise NonPositiveDiffusion("pair diffusion must be positive, got %g" % d)
-        u = pc.u1 if component == 0 else pc.u2
-        drift = faces - u
-        delta = chang_cooper_delta(dv * drift / d)
-        s += pc.nu * (d / dv + (1.0 - delta) * drift)
-        l += pc.nu * (d / dv - delta * drift)
-    diag = np.zeros(n)
+    pairs = np.asarray(pairs, dtype=float)
+    d = pairs[:, 3:]
+    bad = ~(d > 0)
+    if bad.any():
+        raise NonPositiveDiffusion("pair diffusion must be positive, got %g" % d[bad][0])
+    nu = pairs[:, :1]
+    drift = grid[:-1] + 0.5 * dv - pairs[:, 1 + component, None]
+    delta = chang_cooper_delta(dv * drift / d)
+    s = (nu * (d / dv + (1.0 - delta) * drift)).sum(axis=0)
+    l = (nu * (d / dv - delta * drift)).sum(axis=0)
+    diag = np.zeros(grid.size)
     diag[:-1] -= l
     diag[1:] -= s
     return TridiagonalOperator(diag / dv, l / dv, s / dv)
 
 
 def build_lbfp_operators(grid, dv, pairs):
-    """(A1, A2) so that df/dt = A1 F + F A2^T for one species."""
+    """(A1, A2) so that df/dt = A1 F + F A2^T for one species' (p, 4) pair block."""
     return (
         _direction_operator(grid, dv, pairs, 0),
         _direction_operator(grid, dv, pairs, 1),
@@ -423,12 +414,19 @@ def _power_rows(grid, w):
     return rows
 
 
-# modes over the (1, v, v^2) columns of each side: n, gam1, gam2, |v|^2
+# modes over the (1, v, v^2) rows of each side: n, gam1, gam2, |v|^2, as
+# E[j, a, b] = 1 at (0,0,0), (1,1,0), (2,0,1), (3,2,0) and (3,0,2)
 _MOMENT_MODES = np.zeros((4, 3, 3))
-_MOMENT_MODES[0, 0, 0] = 1.0
-_MOMENT_MODES[1, 1, 0] = 1.0
-_MOMENT_MODES[2, 0, 1] = 1.0
-_MOMENT_MODES[3, 2, 0] = _MOMENT_MODES[3, 0, 2] = 1.0
+_MOMENT_MODES[[0, 1, 2, 3, 3], [0, 1, 0, 2, 0], [0, 0, 1, 0, 2]] = 1.0
+
+
+def _moment_functionals(grid1, grid2, dv):
+    """(rows_u, rows_v, modes) of the moments (n, gam1, gam2, |v|^2) for ``lr_moments``.
+
+    Midpoint quadrature with cell area dv^2: the rows are (1, v, v^2) dv on
+    each side and the modes pick 1x1, v1x1, 1xv2 and v1^2x1 + 1xv2^2.
+    """
+    return _power_rows(grid1, dv), _power_rows(grid2, dv), _MOMENT_MODES
 
 
 def lomac_project(f, target, mass, grid, dv, eps):
@@ -437,14 +435,13 @@ def lomac_project(f, target, mass, grid, dv, eps):
     The four-moment case of ``conservative_truncate`` on a square velocity
     grid: the moment-carrying part is represented in a Maxwellian-weighted
     polynomial range {w w, v1 w w, w v2 w, (v1^2 + v2^2) w w} paired with the
-    plain moment functionals (1, v1, v2, |v|^2), pinned to
+    moment functionals ``kinetic_moments`` measures, pinned to
     ``target.as_vector()``.
     """
     vth2 = target.temperature(mass) / mass
     weighted = _power_rows(grid, np.exp(-(grid**2) / (2.0 * vth2))).T
-    rows = _power_rows(grid, dv)
     return conservative_truncate(
-        f, weighted, weighted, rows, rows, _MOMENT_MODES, target.as_vector(), eps
+        f, weighted, weighted, *_moment_functionals(grid, grid, dv), target.as_vector(), eps
     )
 
 

@@ -121,7 +121,7 @@ def conservative_truncate(f, range_u, range_v, rows_u, rows_v, modes, target, ep
     pv = rows_v @ qv
 
     def moments(core):
-        return np.einsum("jab,ab->j", modes, pu @ core @ pv.T)
+        return _mode_contraction(modes, pu, core, pv)
 
     def range_core(c):
         return cu @ np.tensordot(c, modes, axes=1) @ cv.T
@@ -171,30 +171,21 @@ def spectral_scale(f):
     return float(np.linalg.norm(f.s, 2))
 
 
-def lr_moments(f, grid1, grid2, dv):
-    """Discrete number density, fluxes and energy of a distribution in factored form.
+def lr_moments(f, rows_u, rows_v, modes):
+    """Moments <E_j, rows_u F rows_v^T> of factored F, one per core of ``modes``.
 
-    Midpoint quadrature with cell area dv^2:
-      n     = dv^2 * 1^T F 1
-      gam1  = dv^2 * v1^T F 1
-      gam2  = dv^2 * 1^T F v2
-      E     = dv^2/2 * (v1^2^T F 1 + 1^T F v2^2)
-
-    Returns (n, gam1, gam2, energy).  Cost O((n1+n2) r).
+    ``rows_u`` (p x n1) and ``rows_v`` (q x n2) are a model's functional rows
+    and ``modes`` a (k, p, q) stack of cores E_j; ``conservative_truncate``
+    pins by the same contraction.  Returns k moments.  Cost O((p n1 + q n2) r).
     """
-    grid1 = np.asarray(grid1, dtype=float)
-    grid2 = np.asarray(grid2, dtype=float)
-    if grid1.shape[0] != f.u.shape[0] or grid2.shape[0] != f.v.shape[0]:
-        raise DimensionMismatch("grids do not match factor dimensions")
-    w = dv * dv
-    us = f.u.T.sum(axis=1) @ f.s          # 1^T U S
-    vs = f.v.T.sum(axis=1)                # V^T 1
-    u1 = (grid1 @ f.u) @ f.s              # v1^T U S
-    v2 = grid2 @ f.v                      # v2^T V
-    u2 = (grid1**2 @ f.u) @ f.s
-    v22 = grid2**2 @ f.v
-    n = w * float(us @ vs)
-    gam1 = w * float(u1 @ vs)
-    gam2 = w * float(us @ v2)
-    energy = 0.5 * w * (float(u2 @ vs) + float(us @ v22))
-    return n, gam1, gam2, energy
+    if np.shape(rows_u)[1:] != f.shape[:1] or np.shape(rows_v)[1:] != f.shape[1:]:
+        raise DimensionMismatch(
+            "functional rows %s, %s do not match factors %s"
+            % (np.shape(rows_u), np.shape(rows_v), f.shape)
+        )
+    return _mode_contraction(np.asarray(modes, dtype=float), rows_u @ f.u, f.s, rows_v @ f.v)
+
+
+def _mode_contraction(modes, pu, core, pv):
+    """<E_j, pu core pv^T> for every core E_j of the (k, p, q) stack ``modes``."""
+    return np.einsum("jab,ab->j", modes, pu @ core @ pv.T)

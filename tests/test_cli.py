@@ -169,6 +169,35 @@ class TestValidate:
             assert "config error" in err and "species[1].name" in err
         assert not (tmp_path / "out_l").exists()
 
+    def test_species_name_with_comma_exits_two(self, tmp_path, capsys):
+        sp = "  - {name: 'a,b', mass: 1.0, charge: 1.0}\n"
+        cfg = write_cfg(
+            tmp_path,
+            "kind: lbfp-relax\nintegrator: be\ngrid:\n  n: 16\n"
+            "time:\n  t_final: 0.2\n  dt: 0.1\nspecies:\n" + sp
+            + "output: %s\n" % (tmp_path / "out_l"),
+        )
+        for command in ("validate", "run"):
+            assert main([command, cfg]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "species[0].name" in err
+        assert not (tmp_path / "out_l").exists()
+
+    def test_key_of_another_kind_exits_two(self, tmp_path, capsys):
+        heat = heat_cfg(tmp_path, extra="pipeline: dense\n")
+        for command in ("validate", "run", "compare"):
+            assert main([command, heat]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "pipeline" in err
+        assert not (tmp_path / "out_h").exists()
+        lbfp = lbfp_cfg(tmp_path)
+        Path(lbfp).write_text(Path(lbfp).read_text() + "lomac: false\n")
+        for command in ("validate", "run"):
+            assert main([command, lbfp]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "lomac" in err
+        assert not (tmp_path / "out_l").exists()
+
     def test_zero_diffusion_exits_two(self, tmp_path, capsys):
         cfg = heat_cfg(tmp_path, extra="diffusion: [0.5, 0.0]\n")
         for command in ("validate", "run", "compare"):

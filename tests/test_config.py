@@ -196,6 +196,50 @@ class TestRejections:
         # names compare as the strings they become
         rejected(lbfp_doc(species=[{"name": 1, **sp}, {"name": "1", **sp}]), "species[1].name")
 
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a'b", "a\nb", "a\rb", "", None, True, [1]])
+    def test_species_name_must_be_a_csv_cell(self, name):
+        # the name heads rank_history/moments CSV cells, so it may carry no
+        # separator, quote or line break, and must be a string or a number
+        sp = {"mass": 1.0, "charge": 1.0}
+        err = rejected(lbfp_doc(species=[{"name": "ok", **sp}, {"name": name, **sp}]),
+                       "species[1].name")
+        assert repr(name) in str(err) or repr(str(name)) in str(err)
+
+    def test_species_names_from_numbers(self):
+        sp = {"mass": 1.0, "charge": 1.0}
+        cfg = validate_config(lbfp_doc(species=[{"name": 1, **sp}, {"name": 2.5, **sp}]))
+        assert [s.name for s in cfg.species] == ["1", "2.5"]
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            (heat_doc(pipeline="dense"), "pipeline"),
+            (heat_doc(timing_reps=3), "timing_reps"),
+            (heat_doc(grid_halfwidth=8.0), "grid_halfwidth"),
+            (heat_doc(species=[{"name": "p", "mass": 1.0, "charge": 1.0}]), "species"),
+            (lbfp_doc(lomac=False), "lomac"),
+            (lbfp_doc(diffusion=[0.5, 0.5]), "diffusion"),
+            (lbfp_doc(pipeline="dense"), "pipeline"),
+            (lbfp_doc(timing_reps=3), "timing_reps"),
+            (sweep_doc(lomac=True), "lomac"),
+            (sweep_doc(diffusion=[0.5, 0.5]), "diffusion"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v["kind"],
+    )
+    def test_key_outside_its_kinds_rejected(self, doc, key):
+        err = rejected(doc, key)
+        assert doc["kind"] in str(err)
+
+    def test_keys_inside_their_kinds_accepted(self):
+        sp = [{"name": "p", "mass": 1.0, "charge": 1.0}]
+        validate_config(heat_doc(lomac=False, diffusion=[0.2, 0.3]))
+        validate_config(lbfp_doc(species=sp, grid_halfwidth=8.0))
+        cfg = validate_config(
+            sweep_doc(species=sp, grid_halfwidth=8.0, pipeline="dense", timing_reps=2)
+        )
+        assert (cfg.pipeline, cfg.timing_reps, cfg.halfwidth) == ("dense", 2, 8.0)
+        rejected(sweep_doc(pipeline="sparse"), "pipeline")
+
     def test_misc_scalars(self):
         rejected(heat_doc(grid_halfwidth=0.0), "grid_halfwidth")
         rejected(heat_doc(timing_reps=0), "timing_reps")

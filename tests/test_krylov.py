@@ -82,7 +82,6 @@ def stage_pair(kind, n):
     from kryrank.dirk import assemble_stage_operator, get_table
     from kryrank.heat import build_heat_operator, heat_initial_condition
     from kryrank.lbfp import (
-        PairCoefficients,
         SpeciesConfig,
         bi_maxwellian_factors,
         build_lbfp_operators,
@@ -95,8 +94,8 @@ def stage_pair(kind, n):
         stage = assemble_stage_operator(d, 400.0 / n**2, akk)
         return (stage, stage), heat_initial_condition(n)
     grid, dv = velocity_grid(n, 8.0 * n / 64)
-    pair = PairCoefficients(nu=1.0, u1=6.0, u2=-5.0, diffusion=0.3)
-    d1, d2 = build_lbfp_operators(grid, dv, [pair])
+    # one (nu, u1, u2, D) pair row
+    d1, d2 = build_lbfp_operators(grid, dv, [[1.0, 6.0, -5.0, 0.3]])
     ops = (assemble_stage_operator(d1, 0.1, akk), assemble_stage_operator(d2, 0.1, akk))
     sp = SpeciesConfig("s", mass=1.0, charge=1.0, drift=(2.0, -1.0))
     return ops, bi_maxwellian_factors(grid, grid, sp)
@@ -589,14 +588,14 @@ class TestSolveAdaptive:
     @example(n=64, peclet=10.0, drift=(-4.0, 1.0), dt=0.05, rtol=1e-8, seed=1)
     def test_drifting_chang_cooper_matches_kronecker(self, n, peclet, drift, dt, rtol, seed):
         from kryrank.dirk import assemble_stage_operator
-        from kryrank.lbfp import PairCoefficients, build_lbfp_operators, velocity_grid
+        from kryrank.lbfp import build_lbfp_operators, velocity_grid
 
         # the diffusion sets the largest cell Peclet number dv |v - u| / D
         # over both directions' faces to ``peclet``: non-normal stage pairs
         grid, dv = velocity_grid(n, 8.0)
         faces = grid[:-1] + 0.5 * dv
         reach = max(np.abs(faces - u).max() for u in drift)
-        pair = PairCoefficients(nu=1.0, u1=drift[0], u2=drift[1], diffusion=dv * reach / peclet)
+        pair = [1.0, drift[0], drift[1], dv * reach / peclet]  # (nu, u1, u2, D)
         a1, a2 = (
             assemble_stage_operator(d, dt, 1.0)
             for d in build_lbfp_operators(grid, dv, [pair])

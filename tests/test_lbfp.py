@@ -24,7 +24,6 @@ from kryrank.lbfp import (
     MIN_VELOCITY_CELLS,
     LbfpSystem,
     MomentState,
-    PairCoefficients,
     SpeciesConfig,
     _fd_jacobian,
     _moment_stage_solve,
@@ -48,7 +47,7 @@ from kryrank.lbfp import (
     velocity_grid,
 )
 from kryrank.linalg import TridiagonalOperator
-from kryrank.lowrank import LowRankFactors, lr_add, lr_moments, spectral_scale, truncate
+from kryrank.lowrank import LowRankFactors, lr_add, spectral_scale, truncate
 
 
 def dense_moments(mat, grid1, grid2, dv):
@@ -59,6 +58,12 @@ def dense_moments(mat, grid1, grid2, dv):
     g2 = cell * (mat * grid2[None, :]).sum()
     en = 0.5 * cell * ((grid1**2)[:, None] * mat + mat * (grid2**2)[None, :]).sum()
     return np.array([n, g1, g2, en])
+
+
+def moment_vector(f, grid, dv):
+    """(n, gam1, gam2, energy) of factors F on a square grid, by ``kinetic_moments``."""
+    st = kinetic_moments(f, grid, grid, dv)
+    return np.array([st.n, st.gam1, st.gam2, st.energy])
 
 
 def pair_oracle(sa, sb, sta, stb):
@@ -103,6 +108,26 @@ def rhs_oracle(states, species):
             )
         out.append((dg1, dg2, de))
     return out
+
+
+def looped_direction_oracle(grid, dv, pairs, component):
+    """(diag, lower, upper) of one direction's generator, one pair at a time.
+
+    The per-pair loop the one-pass operator replaced: each pair's
+    Chang-Cooper face coefficients are accumulated into S and L in turn.
+    """
+    faces = grid[:-1] + 0.5 * dv
+    s = np.zeros(grid.size - 1)
+    l = np.zeros(grid.size - 1)
+    for nu, u1, u2, d in pairs:
+        drift = faces - (u1 if component == 0 else u2)
+        delta = chang_cooper_delta(dv * drift / d)
+        s += nu * (d / dv + (1.0 - delta) * drift)
+        l += nu * (d / dv - delta * drift)
+    diag = np.zeros(grid.size)
+    diag[:-1] -= l
+    diag[1:] -= s
+    return diag / dv, l / dv, s / dv
 
 
 def random_state(rng, mass):
@@ -230,11 +255,11 @@ class TestCollisionCoefficients:
         rng = np.random.default_rng(3)
         st = random_state(rng, 1.5)
         sp = SpeciesConfig("s", 1.5, 1.0)
-        pc = collision_coefficients([st], [sp])[0][0]
+        _nu, u1, u2, d = collision_coefficients([st], [sp])[0, 0]
         t = st.temperature(1.5)
-        assert abs(pc.u1 - st.velocity()[0]) <= 1e-14
-        assert abs(pc.u2 - st.velocity()[1]) <= 1e-14
-        assert abs(pc.diffusion - t / 1.5) <= 1e-14 * t
+        assert abs(u1 - st.velocity()[0]) <= 1e-14
+        assert abs(u2 - st.velocity()[1]) <= 1e-14
+        assert abs(d - t / 1.5) <= 1e-14 * t
 
     def test_equal_state_pair(self):
         u = (0.4, -0.1)
@@ -243,10 +268,10 @@ class TestCollisionCoefficients:
         coeffs = collision_coefficients(states, species)
         for a in range(2):
             for b in range(2):
-                pc = coeffs[a][b]
-                assert abs(pc.u1 - u[0]) <= 1e-13
-                assert abs(pc.u2 - u[1]) <= 1e-13
-                assert abs(pc.diffusion - 1.7 / species[a].mass) <= 1e-13
+                _nu, u1, u2, d = coeffs[a, b]
+                assert abs(u1 - u[0]) <= 1e-13
+                assert abs(u2 - u[1]) <= 1e-13
+                assert abs(d - 1.7 / species[a].mass) <= 1e-13
 
     def test_rate_symmetry(self):
         rng = np.random.default_rng(5)
@@ -260,8 +285,8 @@ class TestCollisionCoefficients:
             coeffs = collision_coefficients(states, species)
             for a in range(3):
                 for b in range(3):
-                    lhs = species[a].mass * states[a].n * coeffs[a][b].nu
-                    rhs = species[b].mass * states[b].n * coeffs[b][a].nu
+                    lhs = species[a].mass * states[a].n * coeffs[a, b, 0]
+                    rhs = species[b].mass * states[b].n * coeffs[b, a, 0]
                     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     def test_matches_scalar_oracle(self):
@@ -278,11 +303,11 @@ class TestCollisionCoefficients:
                     nu, u1, u2, d = pair_oracle(
                         species[a], species[b], states[a], states[b]
                     )
-                    pc = coeffs[a][b]
-                    assert abs(pc.nu - nu) <= 1e-14 * nu
-                    assert abs(pc.u1 - u1) <= 1e-14 * (1 + abs(u1))
-                    assert abs(pc.u2 - u2) <= 1e-14 * (1 + abs(u2))
-                    assert abs(pc.diffusion - d) <= 1e-14 * d
+                    got = coeffs[a, b]
+                    assert abs(got[0] - nu) <= 1e-14 * nu
+                    assert abs(got[1] - u1) <= 1e-14 * (1 + abs(u1))
+                    assert abs(got[2] - u2) <= 1e-14 * (1 + abs(u2))
+                    assert abs(got[3] - d) <= 1e-14 * d
 
     @pytest.mark.filterwarnings("error")
     def test_negative_temperature_rejected(self):
@@ -719,8 +744,9 @@ class TestLbfpOperators:
 
     def test_additive_in_pairs(self):
         grid, dv = velocity_grid(32, 5.0)
-        pa = PairCoefficients(nu=0.8, u1=0.2, u2=-0.1, diffusion=1.5)
-        pb = PairCoefficients(nu=0.3, u1=-0.4, u2=0.6, diffusion=0.7)
+        # (nu, u1, u2, D) rows
+        pa = [0.8, 0.2, -0.1, 1.5]
+        pb = [0.3, -0.4, 0.6, 0.7]
         both = build_lbfp_operators(grid, dv, [pa, pb])[0].dense()
         split = (
             build_lbfp_operators(grid, dv, [pa])[0].dense()
@@ -728,13 +754,26 @@ class TestLbfpOperators:
         )
         assert np.abs(both - split).max() <= 1e-13 * np.abs(both).max()
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_pass_matches_per_pair_loop_bitwise(self, p):
+        rng = np.random.default_rng(40 + p)
+        masses = rng.uniform(0.2, 4.0, p)
+        species = [SpeciesConfig("s%d" % i, float(masses[i]), 1.0) for i in range(p)]
+        states = [random_state(rng, sp.mass) for sp in species]
+        coeffs = collision_coefficients(states, species)
+        for a in range(p):
+            grid, dv = velocity_grid(48, 6.0 * math.sqrt(species[a].mass) + 2.0)
+            for component, op in enumerate(build_lbfp_operators(grid, dv, coeffs[a])):
+                want = looped_direction_oracle(grid, dv, coeffs[a].tolist(), component)
+                assert np.array_equal(op.diag, want[0])
+                assert np.array_equal(op.lower, want[1])
+                assert np.array_equal(op.upper, want[2])
+
     def test_large_diffusion_second_difference_limit(self):
         n = 64
         grid, dv = velocity_grid(n, 5.0)
         nu, dcoef = 0.7, 1e6
-        a1 = build_lbfp_operators(
-            grid, dv, [PairCoefficients(nu=nu, u1=0.0, u2=0.0, diffusion=dcoef)]
-        )[0]
+        a1 = build_lbfp_operators(grid, dv, [[nu, 0.0, 0.0, dcoef]])[0]
         c = nu * dcoef / dv**2
         diag = np.full(n, -2.0 * c)
         diag[0] = diag[-1] = -c
@@ -746,7 +785,7 @@ class TestLbfpOperators:
         # NaN must fail here, naming the value, not later as a non-finite
         # operator entry
         for d in (-0.5, 0.0, math.nan):
-            bad = PairCoefficients(nu=1.0, u1=0.0, u2=0.0, diffusion=d)
+            bad = [1.0, 0.0, 0.0, d]
             with pytest.raises(NonPositiveDiffusion, match="got %g" % d):
                 build_lbfp_operators(grid, dv, [bad])
 
@@ -758,7 +797,7 @@ class TestLomacProject:
         u = np.linalg.qr(rng.standard_normal((64, 5)))[0]
         v = np.linalg.qr(rng.standard_normal((64, 5)))[0]
         f = LowRankFactors(u, rng.standard_normal((5, 5)), v, orthonormal=True)
-        got = np.array(lr_moments(f, grid, grid, dv))
+        got = moment_vector(f, grid, dv)
         want = dense_moments(f.materialize(), grid, grid, dv)
         assert np.abs(got - want).max() <= 1e-11 * (1.0 + np.abs(want).max())
 
@@ -920,9 +959,7 @@ class TestLbfpStep:
         system = initialize_system(benchmark_species(), 64)
         cur, _diags = lbfp_step(system, get_table("dirk2"), 0.1, 1e-3)
         for a in range(2):
-            n, _, _, _ = lr_moments(
-                cur.factors[a], cur.grids[a], cur.grids[a], cur.dvs[a]
-            )
+            n = kinetic_moments(cur.factors[a], cur.grids[a], cur.grids[a], cur.dvs[a]).n
             assert abs(n - system.states[a].n) <= 1e-13 * system.states[a].n
 
     def test_invariants_over_twenty_steps(self):
@@ -934,10 +971,10 @@ class TestLbfpStep:
             for sp, f, g, dv in zip(
                 species, state.factors, state.grids, state.dvs
             ):
-                _, g1, g2, e = lr_moments(f, g, g, dv)
-                p1 += sp.mass * g1
-                p2 += sp.mass * g2
-                en += sp.mass * e
+                st = kinetic_moments(f, g, g, dv)
+                p1 += sp.mass * st.gam1
+                p2 += sp.mass * st.gam2
+                en += sp.mass * st.energy
             return np.array([p1, p2, en])
 
         k0 = kinetic_totals(system)
@@ -959,9 +996,7 @@ class TestLbfpStep:
         for _ in range(3):
             cur, _diags = lbfp_step(cur, get_table("be"), 0.1, 1.0)
         for a in range(2):
-            got = np.array(
-                lr_moments(cur.factors[a], cur.grids[a], cur.grids[a], cur.dvs[a])
-            )
+            got = moment_vector(cur.factors[a], cur.grids[a], cur.dvs[a])
             st = cur.states[a]
             want = np.array([st.n, st.gam1, st.gam2, st.energy])
             scale = np.array([st.n, 1.0, 1.0, st.energy])
@@ -977,9 +1012,7 @@ class TestLbfpStep:
             assert cur.states == want
             for a, d in enumerate(diags):
                 assert 1 <= d.rank <= MIN_VELOCITY_CELLS
-                got = np.array(
-                    lr_moments(cur.factors[a], cur.grids[a], cur.grids[a], cur.dvs[a])
-                )
+                got = moment_vector(cur.factors[a], cur.grids[a], cur.dvs[a])
                 st = cur.states[a]
                 ref = np.array([st.n, st.gam1, st.gam2, st.energy])
                 scale = max(st.n, 1.0, st.energy)

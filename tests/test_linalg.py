@@ -18,7 +18,6 @@ from kryrank.errors import DimensionMismatch, SingularOperator, SpectralOverlap
 from kryrank.heat import build_heat_operator, heat_initial_condition
 from kryrank.krylov import grow_basis, seed_basis
 from kryrank.lbfp import (
-    PairCoefficients,
     SpeciesConfig,
     bi_maxwellian_factors,
     build_lbfp_operators,
@@ -229,7 +228,7 @@ class TestTridiagonalOperator:
         assert heat.scaled_shifted(0.5, -0.01).symmetric
         assert assemble_stage_operator(heat, 0.01, 0.3).symmetric
         grid, dv = velocity_grid(32, 5.0)
-        pair = PairCoefficients(nu=0.8, u1=0.2, u2=-0.1, diffusion=1.5)
+        pair = [0.8, 0.2, -0.1, 1.5]  # (nu, u1, u2, D)
         for op in build_lbfp_operators(grid, dv, [pair]):
             assert not op.symmetric
             assert not op.scaled_shifted(0.5, -0.1).symmetric
@@ -271,7 +270,7 @@ class TestTridiagonalOperator:
             heat.circulant = False
 
         grid, dv = velocity_grid(32, 5.0)
-        pair = PairCoefficients(nu=0.8, u1=0.2, u2=-0.1, diffusion=1.5)
+        pair = [0.8, 0.2, -0.1, 1.5]  # (nu, u1, u2, D)
         for op in build_lbfp_operators(grid, dv, [pair]):
             assert not op.circulant
         assert not TridiagonalOperator(np.full(8, -2.0), np.ones(7), np.ones(7)).circulant

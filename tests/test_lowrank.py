@@ -2,7 +2,7 @@
 
 Oracles: dense SVD truncation of the materialized matrix, dense sums and
 Frobenius norms, and 2-D midpoint quadrature on the materialized grid for
-the moment formulas.
+the moment functionals both models read through ``lr_moments``.
 """
 
 import numpy as np
@@ -10,7 +10,8 @@ import pytest
 
 from kryrank import lowrank
 from kryrank.errors import DimensionMismatch
-from kryrank.lbfp import maxwellian_factors, velocity_grid
+from kryrank.heat import _mass_functional
+from kryrank.lbfp import kinetic_moments, maxwellian_factors, velocity_grid
 from kryrank.lowrank import (
     LowRankFactors,
     conservative_truncate,
@@ -41,6 +42,12 @@ def quadrature_moments_oracle(mat, grid1, grid2, dv):
     g2 = w * (v2 * mat).sum()
     e = 0.5 * w * ((v1**2 + v2**2) * mat).sum()
     return n, g1, g2, e
+
+
+def lbfp_moments(f, grid, dv):
+    """(n, gam1, gam2, energy) of F on a square velocity grid."""
+    st = kinetic_moments(f, grid, grid, dv)
+    return st.n, st.gam1, st.gam2, st.energy
 
 
 def random_factors(rng, n1, n2, r, orthonormal=True):
@@ -182,7 +189,7 @@ class TestMoments:
     def test_unit_maxwellian_moments(self):
         grid, dv = velocity_grid(256, 10.0)
         f = maxwellian_factors(grid, grid, 1.0, (0.0, 0.0), 1.0)
-        n, g1, g2, e = lr_moments(f, grid, grid, dv)
+        n, g1, g2, e = lbfp_moments(f, grid, dv)
         assert abs(n - 1.0) <= 1e-8
         assert abs(g1) <= 1e-12 and abs(g2) <= 1e-12
         assert abs(e - 1.0) <= 1e-6
@@ -191,12 +198,12 @@ class TestMoments:
         grid, dv = velocity_grid(32, 5.0)
         u = np.zeros((32, 1))
         f = LowRankFactors(u, np.zeros((1, 1)), u)
-        assert lr_moments(f, grid, grid, dv) == (0.0, 0.0, 0.0, 0.0)
+        assert lbfp_moments(f, grid, dv) == (0.0, 0.0, 0.0, 0.0)
 
     def test_shifted_maxwellian_flux(self):
         grid, dv = velocity_grid(256, 12.0)
         f = maxwellian_factors(grid, grid, 1.0, (2.0, 0.0), 1.0)
-        n, g1, _g2, _e = lr_moments(f, grid, grid, dv)
+        n, g1, _g2, _e = lbfp_moments(f, grid, dv)
         assert abs(g1 - 2.0 * n) <= 1e-8
 
     def test_matches_quadrature_oracle(self):
@@ -205,7 +212,7 @@ class TestMoments:
         for _ in range(8):
             f = random_factors(rng, 40, 40, 3, orthonormal=False)
             want = quadrature_moments_oracle(f.materialize(), grid, grid, dv)
-            got = lr_moments(f, grid, grid, dv)
+            got = lbfp_moments(f, grid, dv)
             for a, b in zip(got, want):
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
@@ -215,11 +222,46 @@ class TestMoments:
         for trial in range(64):
             f = random_factors(rng, 24, 24, 2, orthonormal=False)
             g = random_factors(rng, 24, 24, 2, orthonormal=False)
-            mf = lr_moments(f, grid, grid, dv)
-            mg = lr_moments(g, grid, grid, dv)
-            ms = lr_moments(lr_add(f, g), grid, grid, dv)
+            mf = lbfp_moments(f, grid, dv)
+            mg = lbfp_moments(g, grid, dv)
+            ms = lbfp_moments(lr_add(f, g), grid, dv)
             for a, b, c in zip(ms, mf, mg):
                 assert abs(a - (b + c)) <= 1e-12 * max(1.0, abs(b) + abs(c)), trial
+
+    @pytest.mark.parametrize("shape", [(16, 16), (24, 9), (7, 30)])
+    def test_heat_mass_functional_matches_dense_sum(self, shape):
+        rng = np.random.default_rng(33)
+        n1, n2 = shape
+        dx, dy = 1.0 / n1, 1.0 / n2
+        for orthonormal in (True, False):
+            f = random_factors(rng, n1, n2, 3, orthonormal=orthonormal)
+            (got,) = lr_moments(f, *_mass_functional(f.shape, dx, dy))
+            want = dx * dy * f.materialize().sum()
+            assert abs(got - want) <= 1e-13 * max(1.0, dx * dy * np.abs(f.materialize()).sum())
+
+    def test_general_modes_match_dense_contraction(self):
+        rng = np.random.default_rng(34)
+        f = random_factors(rng, 20, 14, 4, orthonormal=False)
+        rows_u = rng.standard_normal((3, 20))
+        rows_v = rng.standard_normal((2, 14))
+        modes = rng.standard_normal((5, 3, 2))
+        proj = rows_u @ f.materialize() @ rows_v.T
+        want = [(e * proj).sum() for e in modes]
+        got = lr_moments(f, rows_u, rows_v, modes)
+        assert got.shape == (5,)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(proj).sum()
+
+    def test_rows_must_match_factors(self):
+        rng = np.random.default_rng(35)
+        f = random_factors(rng, 12, 10, 2)
+        ones = np.ones((1, 1, 1))
+        for rows_u, rows_v in (
+            (np.ones((1, 10)), np.ones((1, 10))),
+            (np.ones((1, 12)), np.ones((1, 12))),
+            (np.ones(12), np.ones((1, 10))),
+        ):
+            with pytest.raises(DimensionMismatch):
+                lr_moments(f, rows_u, rows_v, ones)
 
 
 class TestJointBasis:
