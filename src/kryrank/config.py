@@ -131,14 +131,16 @@ def _parse_species(blocks):
             if req not in blk:
                 raise ConfigError("missing required key", "%s.%s" % (path, req))
         name = blk["name"]
-        # names head CSV cells, so a separator, quote or line break corrupts rows
+        # names head CSV cells, so a separator, quote or line break corrupts rows,
+        # and a leading '#' makes CSV readers skip the row as a comment
         text = str(name)
         if isinstance(name, bool) or not isinstance(name, (str, int, float)) or (
             text.splitlines() != [text] or any(c in text for c in ",\"'")
+            or text.startswith("#")
         ):
             raise ConfigError(
-                "expected a string or number with nonempty text and no comma, quote "
-                "or line break, got %r" % (name,), path + ".name"
+                "expected a string or number with nonempty text, no leading '#' and "
+                "no comma, quote or line break, got %r" % (name,), path + ".name"
             )
         name = text
         if name in (sp.name for sp in out):

@@ -414,10 +414,12 @@ def _power_rows(grid, w):
     return rows
 
 
-# modes over the (1, v, v^2) rows of each side: n, gam1, gam2, |v|^2, as
-# E[j, a, b] = 1 at (0,0,0), (1,1,0), (2,0,1), (3,2,0) and (3,0,2)
+# modes over the (1, v, v^2) rows of each side: n, gam1, gam2, |v|^2
 _MOMENT_MODES = np.zeros((4, 3, 3))
-_MOMENT_MODES[[0, 1, 2, 3, 3], [0, 1, 0, 2, 0], [0, 0, 1, 0, 2]] = 1.0
+_MOMENT_MODES[0, 0, 0] = 1.0
+_MOMENT_MODES[1, 1, 0] = 1.0
+_MOMENT_MODES[2, 0, 1] = 1.0
+_MOMENT_MODES[3, 2, 0] = _MOMENT_MODES[3, 0, 2] = 1.0
 
 
 def _moment_functionals(grid1, grid2, dv):

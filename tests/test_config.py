@@ -196,10 +196,13 @@ class TestRejections:
         # names compare as the strings they become
         rejected(lbfp_doc(species=[{"name": 1, **sp}, {"name": "1", **sp}]), "species[1].name")
 
-    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a'b", "a\nb", "a\rb", "", None, True, [1]])
+    @pytest.mark.parametrize(
+        "name", ["a,b", 'a"b', "a'b", "a\nb", "a\rb", "", "#1", None, True, [1]]
+    )
     def test_species_name_must_be_a_csv_cell(self, name):
         # the name heads rank_history/moments CSV cells, so it may carry no
-        # separator, quote or line break, and must be a string or a number
+        # separator, quote or line break, no leading '#' (CSV readers skip such
+        # rows as comments), and must be a string or a number
         sp = {"mass": 1.0, "charge": 1.0}
         err = rejected(lbfp_doc(species=[{"name": "ok", **sp}, {"name": name, **sp}]),
                        "species[1].name")
@@ -241,6 +244,11 @@ class TestRejections:
         rejected(sweep_doc(pipeline="sparse"), "pipeline")
 
     def test_misc_scalars(self):
+        # value checks, in kinds that read the key
+        for doc in (lbfp_doc, sweep_doc):
+            assert "> 0" in str(rejected(doc(grid_halfwidth=0.0), "grid_halfwidth"))
+        assert ">= 1" in str(rejected(sweep_doc(timing_reps=0), "timing_reps"))
+        # and the kind rule where the key is not read
         rejected(heat_doc(grid_halfwidth=0.0), "grid_halfwidth")
         rejected(heat_doc(timing_reps=0), "timing_reps")
         rejected(heat_doc(seed="abc"), "seed")
