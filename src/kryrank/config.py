@@ -130,19 +130,16 @@ def _parse_species(blocks):
         for req in ("name", "mass", "charge"):
             if req not in blk:
                 raise ConfigError("missing required key", "%s.%s" % (path, req))
-        name = blk["name"]
+        raw, name = blk["name"], str(blk["name"])
         # names head CSV cells, so a separator, quote or line break corrupts rows,
-        # and a leading '#' makes CSV readers skip the row as a comment
-        text = str(name)
-        if isinstance(name, bool) or not isinstance(name, (str, int, float)) or (
-            text.splitlines() != [text] or any(c in text for c in ",\"'")
-            or text.startswith("#")
+        # and CSV readers skip a row whose first cell starts with '#'
+        if isinstance(raw, bool) or not isinstance(raw, (str, int, float)) or (
+            name.splitlines() != [name] or name.startswith("#") or any(c in name for c in ",\"'")
         ):
             raise ConfigError(
                 "expected a string or number with nonempty text, no leading '#' and "
-                "no comma, quote or line break, got %r" % (name,), path + ".name"
+                "no comma, quote or line break, got %r" % (raw,), path + ".name"
             )
-        name = text
         if name in (sp.name for sp in out):
             raise ConfigError("duplicate species name %r" % name, path + ".name")
         drift = blk.get("drift", (0.0, 0.0))

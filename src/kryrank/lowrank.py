@@ -179,10 +179,7 @@ def lr_moments(f, rows_u, rows_v, modes):
     pins by the same contraction.  Returns k moments.  Cost O((p n1 + q n2) r).
     """
     if np.shape(rows_u)[1:] != f.shape[:1] or np.shape(rows_v)[1:] != f.shape[1:]:
-        raise DimensionMismatch(
-            "functional rows %s, %s do not match factors %s"
-            % (np.shape(rows_u), np.shape(rows_v), f.shape)
-        )
+        raise DimensionMismatch("functional rows do not match factors %s" % (f.shape,))
     return _mode_contraction(np.asarray(modes, dtype=float), rows_u @ f.u, f.s, rows_v @ f.v)
 
 
