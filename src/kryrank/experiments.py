@@ -64,8 +64,31 @@ def write_csv(path, header, rows):
         fh.write("# schema_version=1,build=%s\n" % _build_tag())
 
 
-def _residual_cell(residuals):
-    return ";".join("%.6e" % r for r in residuals)
+def _step_count(t_final, dt):
+    return max(1, int(round(t_final / dt)))
+
+
+def _advance(step_fn, state, steps, dt, where):
+    """Every driver's step loop: yields (step, t, state, diag) after each step.
+
+    ``step_fn(state)`` returns (state, diag); t = (step + 1) * dt is the time
+    the step ends at.  A SolveFailure leaves with ``where`` naming the step
+    and t, then the caller's keys, then the failure's own (stage, species).
+    """
+    for step in range(steps):
+        t = (step + 1) * dt
+        try:
+            state, diag = step_fn(state)
+        except SolveFailure as exc:
+            exc.where = {"step": step, "t": t, **where, **exc.where}
+            raise
+        yield step, t, state, diag
+
+
+def _history_row(step, t, f, diag):
+    """The rank_history.csv row of a step that ended on the state f."""
+    residuals = ";".join("%.6e" % r for r in diag.stage_residuals)
+    return step, t, f.rank, diag.krylov_iterations, diag.late_stage_restarts, residuals
 
 
 def _heat_point(cfg, lam, table):
@@ -77,7 +100,7 @@ def _heat_point(cfg, lam, table):
     f0 = heat_initial_condition(n)
     n_exact = discrete_mass(f0, dx, dx)
     dt = lam * dx * dx
-    steps = max(1, int(round(cfg.t_final / dt)))
+    steps = _step_count(cfg.t_final, dt)
     tol = lte_tolerance(cfg.tolerance_constant, dt, table.order)
 
     def post(raw):
@@ -86,33 +109,18 @@ def _heat_point(cfg, lam, table):
             return lomac_null_correction(raw, n_exact, dx, dx, eps)
         return truncate(raw, eps)
 
-    f = f0
+    def step_fn(f):
+        return dirk_step(f, table, dt, (d1, d2), tol, post_process=post)
+
     history = []
-    for step in range(steps):
-        try:
-            f, diag = dirk_step(f, table, dt, (d1, d2), tol, post_process=post)
-        except SolveFailure as exc:
-            exc.where = {"step": step, "t": (step + 1) * dt, "lambda": lam, **exc.where}
-            raise
-        history.append(
-            (
-                step,
-                (step + 1) * dt,
-                f.rank,
-                diag.krylov_iterations,
-                diag.late_stage_restarts,
-                _residual_cell(diag.stage_residuals),
-            )
-        )
-    t_end = steps * dt
-    ref = heat_reference(f0.materialize(), d1, d2, t_end)
+    for step, t, f, diag in _advance(step_fn, f0, steps, dt, {"lambda": lam}):
+        history.append(_history_row(step, t, f, diag))
+    ref = heat_reference(f0.materialize(), d1, d2, steps * dt)
     return {
         "lambda": lam,
         "dt": dt,
         "steps": steps,
-        "t_end": t_end,
         "error": l1_distance(f, ref, dx * dx),
-        "factors": f,
         "initial": f0,
         "operators": (d1, d2),
         "reference": ref,
@@ -187,7 +195,7 @@ def run_lbfp_relax(cfg, out_dir):
     table = get_table(cfg.integrator)
     system = initialize_system(cfg.species, cfg.n[0], cfg.halfwidth)
     dt = cfg.dt
-    steps = max(1, int(round(cfg.t_final / dt)))
+    steps = _step_count(cfg.t_final, dt)
 
     kin0 = _kinetic_states(system)
     p10, p20, e0 = total_invariants(kin0, system.species)
@@ -228,31 +236,18 @@ def run_lbfp_relax(cfg, out_dir):
     cons_rows = [conservation_row(0.0, kin0)]
     mom_rows = moment_rows(0.0, kin0, [0] * len(system.species))
     histories = {sp.name: [] for sp in system.species}
-    for step in range(steps):
-        t = (step + 1) * dt
-        try:
-            system, diags = lbfp_step(
-                system, table, dt, cfg.tolerance_constant, eps_rel=cfg.eps_rel
-            )
-        except SolveFailure as exc:
-            exc.where = {"step": step, "t": t, **exc.where}
-            raise
+
+    def step_fn(state):
+        return lbfp_step(state, table, dt, cfg.tolerance_constant, eps_rel=cfg.eps_rel)
+
+    for step, t, system, diags in _advance(step_fn, system, steps, dt, {}):
         kin = _kinetic_states(system)
         cons_rows.append(conservation_row(t, kin))
         mom_rows.extend(
             moment_rows(t, kin, [d.krylov_iterations for d in diags])
         )
         for sp, f, d in zip(system.species, system.factors, diags):
-            histories[sp.name].append(
-                (
-                    step,
-                    t,
-                    f.rank,
-                    d.krylov_iterations,
-                    d.late_stage_restarts,
-                    _residual_cell(d.stage_residuals),
-                )
-            )
+            histories[sp.name].append(_history_row(step, t, f, d))
     write_csv(
         Path(out_dir) / "conservation.csv",
         ("t", "mass_err", "momentum_err", "energy_err"),
@@ -289,7 +284,7 @@ def run_complexity(cfg, out_dir):
 
     table = get_table(cfg.integrator)
     dt = cfg.dt
-    steps = max(1, int(round(cfg.t_final / dt)))
+    steps = _step_count(cfg.t_final, dt)
     rows = []
     for n in cfg.n:
         system0 = initialize_system(cfg.species, n, cfg.halfwidth)
@@ -299,25 +294,18 @@ def run_complexity(cfg, out_dir):
             def advance(state):
                 return lbfp_step(
                     state, table, dt, cfg.tolerance_constant, eps_rel=cfg.eps_rel
-                )[0]
+                )
         else:
             state0 = (system0.states, [f.materialize() for f in system0.factors])
 
             def advance(state, _sys=system0):
-                return dense_lbfp_step(
-                    *state, _sys.species, _sys.grids, _sys.dvs, table, dt
-                )
+                args = (_sys.species, _sys.grids, _sys.dvs, table, dt)
+                return dense_lbfp_step(*state, *args), None
         samples = []
         for _rep in range(cfg.timing_reps):
-            state = state0
             t0 = time.perf_counter()
-            for step in range(steps):
-                try:
-                    state = advance(state)
-                except SolveFailure as exc:
-                    t = (step + 1) * dt
-                    exc.where = {"step": step, "t": t, "n": n, **exc.where}
-                    raise
+            for _ in _advance(advance, state0, steps, dt, {"n": n}):
+                pass
             samples.append(time.perf_counter() - t0)
         rows.append((n, statistics.median(samples)))
     slope = ""

@@ -19,7 +19,7 @@ from kryrank import experiments
 from kryrank.cli import _failure_details, main
 from kryrank.config import load_config
 from kryrank.errors import MaxIterationsExceeded, NewtonDivergence
-from kryrank.experiments import run_heat_convergence, run_lbfp_relax
+from kryrank.experiments import run_complexity, run_heat_convergence, run_lbfp_relax
 
 FLOAT_12E = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 FOOTER = re.compile(r"^# schema_version=1,build=kryrank-\S+$")
@@ -77,6 +77,22 @@ def run_child(*args):
         env=dict(os.environ, PYTHONPATH=path),
         timeout=300,
     )
+
+
+def fail_second_step(monkeypatch, name):
+    """Make ``experiments.<name>`` raise on its second call, naming a species."""
+    real = getattr(experiments, name)
+    calls = []
+
+    def step(*args, **kwargs):
+        calls.append(name)
+        if len(calls) == 2:
+            exc = NewtonDivergence("second step fails", [1.0])
+            exc.where = {"species": "ion"}
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, step)
 
 
 def read_csv(path):
@@ -308,6 +324,16 @@ class TestRunHeat:
         assert exc.best is not None and len(exc.history) >= 2
         assert exc.saturated is True
 
+    def test_second_step_failure_location(self, tmp_path, monkeypatch):
+        fail_second_step(monkeypatch, "dirk_step")
+        cfg = load_config(heat_cfg(tmp_path))
+        with pytest.raises(NewtonDivergence) as info:
+            run_heat_convergence(cfg, tmp_path / "out")
+        where = info.value.where
+        assert list(where) == ["step", "t", "lambda", "species"]
+        dt = 50 / 32**2
+        assert where == {"step": 1, "t": 2 * dt, "lambda": 50, "species": "ion"}
+
     def test_newton_failure_prints_history(self):
         exc = NewtonDivergence("stage Newton missed tolerance", [2.0, 0.25])
         assert _failure_details(exc) == ["residual history: 2.000e+00 2.500e-01"]
@@ -341,6 +367,15 @@ class TestRunLbfp:
             run_lbfp_relax(cfg, tmp_path / "out")
         assert info.value.where == {"step": 0, "t": 1e9}
         assert info.value.history
+
+    def test_second_step_failure_location(self, tmp_path, monkeypatch):
+        fail_second_step(monkeypatch, "lbfp_step")
+        cfg = load_config(lbfp_cfg(tmp_path))
+        with pytest.raises(NewtonDivergence) as info:
+            run_lbfp_relax(cfg, tmp_path / "out")
+        where = info.value.where
+        assert list(where) == ["step", "t", "species"]
+        assert where == {"step": 1, "t": 2 * 0.1, "species": "ion"}
 
     def test_conservation_schema_and_invariants(self, tmp_path):
         main(["run", lbfp_cfg(tmp_path)])
@@ -413,6 +448,20 @@ class TestComplexitySweep:
         assert rc == 1
         assert "NewtonDivergence" in err
         assert re.search(r"\n  at step=0, t=0\.1, n=16\n", err)
+
+    @pytest.mark.parametrize(
+        "pipeline, step", [("adaptive", "lbfp_step"), ("dense", "dense_lbfp_step")]
+    )
+    def test_second_step_failure_location(self, tmp_path, monkeypatch, pipeline, step):
+        fail_second_step(monkeypatch, step)
+        text = Path(sweep_cfg(tmp_path)).read_text().replace("t_final: 0.1", "t_final: 0.2")
+        text = text.replace("output:", "pipeline: %s\noutput:" % pipeline)
+        cfg = load_config(write_cfg(tmp_path, text))
+        with pytest.raises(NewtonDivergence) as info:
+            run_complexity(cfg, tmp_path / "out")
+        where = info.value.where
+        assert list(where) == ["step", "t", "n", "species"]
+        assert where == {"step": 1, "t": 2 * 0.1, "n": 16, "species": "ion"}
 
     def test_scipy_is_imported_before_the_first_clock(self, tmp_path):
         # kryrank imports scipy at the first non-symmetric Schur form; a sweep
