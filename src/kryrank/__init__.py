@@ -64,7 +64,6 @@ from .lbfp import (
     lbfp_step,
     lomac_project,
     maxwellian_factors,
-    moment_rhs,
     moment_step,
     total_invariants,
     velocity_grid,

@@ -102,7 +102,7 @@ def _self_check(seed):
         resid = a1.dense() @ dense + dense @ a2.dense().T - b.materialize()
         norm = float(np.linalg.norm(resid))
         worst = max(worst, norm / lr_frobenius(b))
-        id_gap = max(id_gap, abs(diag.residual - norm) / lr_frobenius(b))
+        id_gap = max(id_gap, abs(diag.stage_residuals[-1] - norm) / lr_frobenius(b))
     results.append(("sylvester-residual", worst <= 1e-8, "max rel %.2e" % worst))
     # both residuals round at ~1e-16 ||B||, up to 1e-6 of a converged one
     # (4e-11 ||B|| and up here), so the gap is taken in units of ||B||

@@ -155,10 +155,9 @@ def lte_tolerance(c, dt, order):
 
 @dataclass
 class SolveDiagnostics:
-    """Growth count, final residual and basis ranks for one adaptive solve."""
+    """Growth count, basis ranks and stage residuals for one adaptive solve."""
 
     iterations: int
-    residual: float
     rank_u: int
     rank_v: int
     stage_residuals: list = field(default_factory=list)
@@ -239,7 +238,7 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
             cores.append(sk)
         history.append(stage_res[-1])
         if len(cores) == s:
-            diag = SolveDiagnostics(m, stage_res[-1], ub.rank, vb.rank, stage_res, rejects)
+            diag = SolveDiagnostics(m, ub.rank, vb.rank, stage_res, rejects)
             return ub.q, cores, vb.q, diag
         if m == max_iter:
             break

@@ -150,16 +150,6 @@ def collision_coefficients(states, species):
     return np.stack(_pair_table(_pack(states), _species_arrays(states, species)), -1)
 
 
-def moment_rhs(states, species):
-    """Time derivatives (dgam1, dgam2, denergy) per species; densities are fixed.
-
-    dgam_a = sum_b nu_ab n_a (u_ab - u_a) and
-    denergy_a = sum_b nu_ab (2 D_ab n_a - 2 E_a + u_ab . gam_a).
-    """
-    out = _rhs_packed(_pack(states), _species_arrays(states, species))
-    return [tuple(row) for row in out.reshape(-1, 3).tolist()]
-
-
 def total_invariants(states, species):
     """Mass-weighted totals (momentum_1, momentum_2, energy) the model conserves."""
     p1 = sum(sp.mass * st.gam1 for sp, st in zip(species, states))
@@ -249,7 +239,11 @@ def _pair_table(y, arrs):
 
 
 def _rhs_packed(y, arrs):
-    """moment_rhs on the packed vector, vectorized over the pair table.
+    """Time derivatives of the packed (gam1, gam2, energy) per species.
+
+    dgam_a = sum_b nu_ab n_a (u_ab - u_a) and
+    denergy_a = sum_b nu_ab (2 D_ab n_a - 2 E_a + u_ab . gam_a), vectorized
+    over the pair table; densities are fixed.
 
     Leading batch axes of ``y`` are kept: the Newton stage solver evaluates
     all finite-difference perturbations in one call.

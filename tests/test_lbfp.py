@@ -41,7 +41,6 @@ from kryrank.lbfp import (
     lbfp_step,
     lomac_project,
     maxwellian_factors,
-    moment_rhs,
     moment_step,
     total_invariants,
     velocity_grid,
@@ -108,6 +107,11 @@ def rhs_oracle(states, species):
             )
         out.append((dg1, dg2, de))
     return out
+
+
+def packed_rhs(states, species):
+    """The moment system's rhs as (dgam1, dgam2, denergy) rows, one per species."""
+    return _rhs_packed(_pack(states), _species_arrays(states, species)).reshape(-1, 3)
 
 
 def looped_direction_oracle(grid, dv, pairs, component):
@@ -329,7 +333,7 @@ class TestMomentRhs:
     def test_single_species_stationary(self):
         rng = np.random.default_rng(13)
         st = random_state(rng, 1.0)
-        (dg1, dg2, de), = moment_rhs([st], [SpeciesConfig("s", 1.0, 1.0)])
+        (dg1, dg2, de), = packed_rhs([st], [SpeciesConfig("s", 1.0, 1.0)])
         scale = abs(st.energy) + 1.0
         assert abs(dg1) <= 1e-13 * scale
         assert abs(dg2) <= 1e-13 * scale
@@ -339,7 +343,7 @@ class TestMomentRhs:
         u = (0.2, -0.6)
         species = [SpeciesConfig("a", 1.0, 1.0), SpeciesConfig("b", 5.0, 1.0)]
         states = [state_at(1.3, u, 1.1, 1.0), state_at(0.7, u, 1.1, 5.0)]
-        for dg1, dg2, de in moment_rhs(states, species):
+        for dg1, dg2, de in packed_rhs(states, species):
             assert abs(dg1) <= 1e-13
             assert abs(dg2) <= 1e-13
             assert abs(de) <= 1e-13
@@ -353,7 +357,7 @@ class TestMomentRhs:
                 for i in range(ns)
             ]
             states = [random_state(rng, sp.mass) for sp in species]
-            rhs = moment_rhs(states, species)
+            rhs = packed_rhs(states, species)
             scale = sum(
                 sp.mass * (abs(r[0]) + abs(r[1]) + abs(r[2]))
                 for sp, r in zip(species, rhs)
@@ -373,28 +377,11 @@ class TestMomentRhs:
                 SpeciesConfig("b", float(rng.uniform(0.2, 2)), -1.0),
             ]
             states = [random_state(rng, sp.mass) for sp in species]
-            got = moment_rhs(states, species)
+            got = packed_rhs(states, species)
             want = rhs_oracle(states, species)
             for g, w in zip(got, want):
                 for x, y in zip(g, w):
                     assert abs(x - y) <= 1e-13 * (1.0 + abs(y))
-
-    def test_packed_rhs_matches_public_path(self):
-        rng = np.random.default_rng(23)
-        for _ in range(8):
-            species = [
-                SpeciesConfig("a", float(rng.uniform(0.2, 2)), 1.0),
-                SpeciesConfig("b", float(rng.uniform(0.2, 2)), -1.0),
-                SpeciesConfig("c", float(rng.uniform(0.2, 2)), 0.5),
-            ]
-            states = [random_state(rng, sp.mass) for sp in species]
-            packed = _rhs_packed(_pack(states), _species_arrays(states, species))
-            flat = [x for r in moment_rhs(states, species) for x in r]
-            for a in range(3):
-                for j in range(3):
-                    got = packed[3 * a + j]
-                    want = flat[3 * a + j]
-                    assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
 def column_loop_jacobian(resid, y, g):
@@ -521,7 +508,7 @@ class TestEquilibriumState:
             for sp, st in zip(species, states)
         ]
         scale = max(abs(st.energy) for st in eq_states)
-        for trip in moment_rhs(eq_states, species):
+        for trip in packed_rhs(eq_states, species):
             for x in trip:
                 assert abs(x) <= 1e-10 * scale
 
@@ -543,7 +530,7 @@ class TestMomentDirk:
 
         def gap(dt):
             end = moment_step(states, OJE_PAIR, get_table("be"), dt)
-            rhs = moment_rhs(states, OJE_PAIR)
+            rhs = packed_rhs(states, OJE_PAIR)
             total = 0.0
             for st0, st1, r in zip(states, end, rhs):
                 ee = (
