@@ -21,52 +21,50 @@ from .lowrank import LowRankFactors
 class ButcherTable:
     """Lower-triangular stage coefficients with a constant positive diagonal.
 
-    The constant diagonal (a singly diagonally implicit table), stiff accuracy
-    (b equal to the last row of a) and row-sum consistency (c_i = sum_j a_ij)
-    are enforced at construction.
+    Every table is stiffly accurate (Hairer & Wanner, Solving ODEs II, 1996),
+    so it is its stage matrix: the weights b are the last row of a, and the
+    abscissae c the row sums.  The constant diagonal (a singly diagonally
+    implicit table) and weights summing to 1 are enforced at construction.
     """
 
     name: str
     a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
     order: int
 
     def __post_init__(self):
-        a, b, c = self.a, self.b, self.c
-        s = a.shape[0]
-        if a.shape != (s, s) or b.shape != (s,) or c.shape != (s,):
-            raise DimensionMismatch("inconsistent table shapes")
+        a = np.asarray(self.a, dtype=float)
+        object.__setattr__(self, "a", a)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DimensionMismatch("stage matrix must be square")
         if np.any(np.triu(a, 1) != 0.0):
             raise DimensionMismatch("stage matrix must be lower triangular")
         if np.any(np.diag(a) <= 0.0):
             raise DimensionMismatch("stage diagonal must be positive")
         if np.any(np.diag(a) != a[0, 0]):
             raise DimensionMismatch("stage diagonal must be constant")
-        if np.max(np.abs(b - a[-1])) > 1e-14:
-            raise DimensionMismatch("table is not stiffly accurate (b != last row of a)")
-        if np.max(np.abs(c - a.sum(axis=1))) > 1e-14:
-            raise DimensionMismatch("abscissae do not match stage row sums")
-        if abs(b.sum() - 1.0) > 1e-14:
+        if abs(a[-1].sum() - 1.0) > 1e-14:
             raise DimensionMismatch("stage weights do not sum to 1")
+
+    @property
+    def b(self):
+        return self.a[-1]
+
+    @property
+    def c(self):
+        return self.a.sum(axis=1)
 
     @property
     def stages(self):
         return self.a.shape[0]
 
 
-def _table(name, a, order):
-    a = np.asarray(a, dtype=float)
-    return ButcherTable(name, a, a[-1].copy(), a.sum(axis=1), order)
-
-
 _GAMMA2 = 1.0 - np.sqrt(2.0) / 2.0
 _X3 = 0.4358665215
 
 _TABLES = {
-    "be": _table("be", [[1.0]], 1),
-    "dirk2": _table("dirk2", [[_GAMMA2, 0.0], [1.0 - _GAMMA2, _GAMMA2]], 2),
-    "dirk3": _table(
+    "be": ButcherTable("be", [[1.0]], 1),
+    "dirk2": ButcherTable("dirk2", [[_GAMMA2, 0.0], [1.0 - _GAMMA2, _GAMMA2]], 2),
+    "dirk3": ButcherTable(
         "dirk3",
         [
             [_X3, 0.0, 0.0],

@@ -97,8 +97,6 @@ class TestButcherTables:
             ButcherTable(
                 name="bad",
                 a=np.array([[0.5]]),
-                b=np.array([1.0]),
-                c=np.array([0.5]),
                 order=1,
             )
 
@@ -110,8 +108,6 @@ class TestButcherTables:
             ButcherTable(
                 name="varying-diagonal",
                 a=np.array([[0.3, 0.0], [0.6, 0.4]]),
-                b=np.array([0.6, 0.4]),
-                c=np.array([0.3, 1.0]),
                 order=1,
             )
 
