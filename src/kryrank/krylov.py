@@ -45,14 +45,14 @@ class ExtendedKrylovBasis:
 
 
 def seed_basis(u0, orthonormal=False):
-    u0 = np.asarray(u0, dtype=float)
-    q, _ = mgs_qr(u0, ortho_prefix=u0.shape[1] if orthonormal else 0)
+    if orthonormal:
+        # a column-major seed is the basis as it is, with no copy
+        q = np.asfortranarray(u0, dtype=float)
+    else:
+        q, _ = mgs_qr(u0)
     if q.shape[1] == 0:
         raise DimensionMismatch("seed block is numerically zero")
-    # growth only reads the staging blocks, so they share q.  q itself is a
-    # copy even of an orthonormal seed: were it u0's buffer, the projected
-    # right-hand side Q^T u0 would take numpy's symmetric-product path and
-    # round differently
+    # growth only reads the staging blocks, so they share q
     return ExtendedKrylovBasis(q, q, q)
 
 
@@ -91,42 +91,42 @@ def grow_basis(basis, op):
 
 @dataclass
 class GalerkinSystem:
-    """Projected system plus each side's C = Q^T A Q and P = (I - Q Q^T) A Q."""
+    """Projected system: each side's C = Q^T A Q as ``a1``/``a2``, the
+    projected right-hand side ``b``, and each side's P = (I - Q Q^T) A Q."""
 
     a1: np.ndarray
     a2: np.ndarray
     b: np.ndarray
-    c_u: np.ndarray
-    c_v: np.ndarray
     p_u: np.ndarray
     p_v: np.ndarray
 
 
 def _galerkin_side(op, q):
-    """Reduced operator, coefficient block C and remainder P of A Q = Q C + P.
+    """Coefficient block C and remainder P of A Q = Q C + P.
 
     A Q is projected out of Q in two blocked passes, in place; C adds up
-    both passes' coefficients, so P is orthogonal to Q to rounding.  P is
-    column-major like Q (``apply`` keeps the layout), and so are both updates.
+    both passes' coefficients, so P is orthogonal to Q to rounding.  For a
+    symmetric operator C is symmetrized, so ``sylvester_schur`` may use
+    eigh.  P is column-major like Q (``apply`` keeps the layout), and so are
+    both updates.
     """
     p = op.apply(q)
-    a_red = q.T @ p
-    if op.symmetric:
-        # exactly symmetric, so ``sylvester_schur`` may use eigh; C below is
-        # still Q^T A Q to rounding, which is all the residual needs
-        a_red = (a_red + a_red.T) / 2
-    p -= _times(q, a_red)
+    c = q.T @ p
+    p -= _times(q, c)
     c2 = q.T @ p
     p -= _times(q, c2)
-    return a_red, a_red + c2, p
+    c += c2
+    if op.symmetric:
+        c = (c + c.T) / 2
+    return c, p
 
 
 def assemble_galerkin(a1, a2, u1, v1, b):
     """Project A1 F + F A2^T = B onto bases U1, V1."""
-    a1_red, c_u, p_u = _galerkin_side(a1, u1)
-    a2_red, c_v, p_v = _galerkin_side(a2, v1)
+    c_u, p_u = _galerkin_side(a1, u1)
+    c_v, p_v = _galerkin_side(a2, v1)
     b_red = (u1.T @ b.u) @ b.s @ (b.v.T @ v1)
-    return GalerkinSystem(a1_red, a2_red, b_red, c_u, c_v, p_u, p_v)
+    return GalerkinSystem(c_u, c_v, b_red, p_u, p_v)
 
 
 def residual_norm(system, s1):
@@ -139,7 +139,7 @@ def residual_norm(system, s1):
     ru, rv = system.b.shape
     if s1.shape != (ru, rv):
         raise DimensionMismatch("core must be %d x %d, got %s" % (ru, rv, s1.shape))
-    galerkin = system.c_u @ s1 + s1 @ system.c_v.T - system.b
+    galerkin = system.a1 @ s1 + s1 @ system.a2.T - system.b
     blocks = (galerkin, system.p_u @ s1, system.p_v @ s1.T)
     return math.hypot(*(np.linalg.norm(blk) for blk in blocks))
 

@@ -163,6 +163,12 @@ class TestBasisGrowth:
         basis = seed_basis(q0, orthonormal=True)
         assert np.array_equal(basis.q, q0)
 
+    def test_orthonormal_column_major_seed_is_not_copied(self):
+        rng = np.random.default_rng(2)
+        q0 = np.asfortranarray(np.linalg.qr(rng.standard_normal((30, 4)))[0])
+        basis = seed_basis(q0, orthonormal=True)
+        assert np.shares_memory(basis.q, q0)
+
     def test_identity_operator_saturates(self):
         rng = np.random.default_rng(3)
         basis = seed_basis(rng.standard_normal((20, 2)))
@@ -541,7 +547,7 @@ class TestResidualNorm:
             assert np.abs(p).max() <= 1e-14 * np.abs(op.dense()).max()
         # a core far from the solution, so the Galerkin block is O(1)
         s1 = np.random.default_rng(25).standard_normal((16, 16))
-        galerkin = np.linalg.norm(sys.c_u @ s1 + s1 @ sys.c_v.T - sys.b)
+        galerkin = np.linalg.norm(sys.a1 @ s1 + s1 @ sys.a2.T - sys.b)
         got = residual_norm(sys, s1)
         assert abs(got - galerkin) <= 1e-14 * galerkin
         f = LowRankFactors(bases[0], s1, bases[1], orthonormal=True)
