@@ -106,9 +106,9 @@ def _galerkin_side(op, q):
 
     A Q is projected out of Q in two blocked passes, in place; C adds up
     both passes' coefficients, so P is orthogonal to Q to rounding.  For a
-    symmetric operator C is symmetrized, so ``sylvester_schur`` may use
-    eigh.  P is column-major like Q (``apply`` keeps the layout), and so are
-    both updates.
+    symmetric operator C is symmetrized exactly, so ``sylvester_schur``
+    factors it by eigh.  P is column-major like Q (``apply`` keeps the
+    layout), and so are both updates.
     """
     p = op.apply(q)
     c = q.T @ p
@@ -210,8 +210,8 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
     Returns (u, cores, v, diagnostics); one core per stage.  Any stage
     failing the tolerance rejects the whole sweep and triggers one growth
     round before all stages are retried.  Each round projects and factors
-    the pair once (``eigh`` when both operators are symmetric, real Schur
-    forms otherwise), and every stage only back-solves.
+    the pair once (``eigh`` when both projected blocks are symmetric, real
+    Schur forms otherwise), and every stage only back-solves.
     """
     op1, op2 = ops
     s = coeff.shape[0]
@@ -223,7 +223,7 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
     saturated = False
     for m in range(max_iter + 1):
         system = assemble_galerkin(op1, op2, ub.q, vb.q, b)
-        schur = sylvester_schur(system.a1, system.a2, op1.symmetric and op2.symmetric)
+        schur = sylvester_schur(system.a1, system.a2)
         solve = functools.partial(solve_sylvester_dense, system.a1, system.a2, schur=schur)
         cores = []
         stage_res = []

@@ -18,17 +18,15 @@ as immutable after construction; ``scaled_shifted`` keeps its last result, so
 a stage operator rebuilt each step is factorized once.
 The dense Sylvester solve is Bartels-Stewart split into ``sylvester_schur`` (the
 O(n^3) Schur forms, shareable) and a per-right-hand-side back-solve; a pair
-declared symmetric is diagonalized by ``eigh`` instead, and the
-back-solve is then one elementwise division.  Near-overlapping spectra raise
-SpectralOverlap: the Schur back-solve checks its residual against 1e-6 of
-the right-hand side after each solve, while the symmetric path checks once,
-in ``eig_denominators`` when the pair is factored, an a-priori bound on that
-same residual, O(mk) against the O(mk(m+k)) residual product, and at least
-as strict.  The real Schur forms come from LAPACK ``dgees`` called
-directly, with ``scipy.linalg.schur``'s finite check and workspace query, so
-they have its bits without its wrapper overhead.  scipy is imported only by
-the non-symmetric branches, at their first call, so symmetric (heat) runs
-load numpy alone.
+whose two sides are exactly symmetric is diagonalized by ``eigh`` instead,
+and the back-solve is then one elementwise division.  Near-overlapping
+spectra raise SpectralOverlap: the Schur back-solve checks its residual
+against 1e-6 of the right-hand side after each solve, while the symmetric
+path checks once, in ``eig_denominators`` when the pair is factored, an
+a-priori bound on that same residual, O(mk) against the O(mk(m+k)) residual
+product, and at least as strict.  scipy is imported only by the
+non-symmetric branches, at their first call, so symmetric (heat) runs load
+numpy alone.
 Layout rule: every n-by-k block the package creates is column-major, and
 every n-by-k product is formed column-major by ``_times``.  ``mgs_qr``
 works in a column-major buffer (in place with ``overwrite``),
@@ -389,59 +387,42 @@ def eig_denominators(w1, w2):
     return denom
 
 
-def _unsorted(*_):
-    """dgees' eigenvalue selector, never called without sorting."""
-
-
-def sylvester_schur(a1, a2, symmetric=False):
+def sylvester_schur(a1, a2):
     """Factor half of a Sylvester solve: (T1, Z1, T2, Z2) with A = Z T Z^T.
 
-    With ``symmetric`` both sides are diagonalized by ``eigh``, and each T is
-    the 1-D array of eigenvalues; the pair must then pass
-    ``eig_denominators``' overlap guard.  ``eigh`` reads one triangle only,
-    so a side that is not exactly symmetric raises DimensionMismatch rather
-    than being diagonalized as the symmetric matrix its triangle describes.
-    Otherwise both sides get their real Schur forms, and the back-solve
-    checks its residual instead.  A failed or non-finite factorization
-    raises SpectralOverlap.
+    A pair whose two sides are both exactly symmetric is diagonalized by
+    ``eigh``: each T is the 1-D array of eigenvalues, and the pair must pass
+    ``eig_denominators``' overlap guard.  Any other pair gets its real Schur
+    forms from ``scipy.linalg.schur``, and the back-solve checks its residual
+    instead.  A side that is not a square matrix, or a failed or non-finite
+    factorization, raises SpectralOverlap.
     """
+    pair = [np.asarray(a, dtype=float) for a in (a1, a2)]
+    symmetric = all(np.array_equal(a, a.T) for a in pair)
+    if not symmetric:
+        import scipy.linalg
     factors = []
-    if symmetric:
-        for a in (a1, a2):
-            if not np.array_equal(a, np.transpose(a), equal_nan=True):
-                raise DimensionMismatch("symmetric factorization of a non-symmetric matrix")
-            try:
-                w, z = np.linalg.eigh(a)
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                raise SpectralOverlap("Sylvester solve failed: %s" % exc) from exc
-            if not np.all(np.isfinite(w)):
-                raise SpectralOverlap("Sylvester solve failed: non-finite eigenvalues")
-            factors += (w, z)
-        eig_denominators(factors[0], factors[2])
-        return tuple(factors)
-    from scipy.linalg.lapack import dgees
-
-    for a in (a1, a2):
-        # scipy.linalg.schur(a, output="real") without its wrappers: the same
-        # finite check, workspace query and dgees call, so the same bits
-        a = np.asarray(a, dtype=float)
+    for a in pair:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise SpectralOverlap("Sylvester solve failed: expected a square matrix")
-        if not np.all(np.isfinite(a)):
-            raise SpectralOverlap("Sylvester solve failed: array must not contain infs or NaNs")
-        lwork = int(dgees(_unsorted, a, lwork=-1)[-2][0])
-        t, _, _, _, z, _, info = dgees(_unsorted, a, lwork=lwork)
-        if info:
-            raise SpectralOverlap("Sylvester solve failed: dgees info=%d" % info)
+        try:
+            t, z = np.linalg.eigh(a) if symmetric else scipy.linalg.schur(a, output="real")
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            raise SpectralOverlap("Sylvester solve failed: %s" % exc) from exc
+        # eigh returns inf for an infinite entry, which eig_denominators passes
+        if not np.all(np.isfinite(t)):
+            raise SpectralOverlap("Sylvester solve failed: non-finite factor")
         factors += (t, z)
+    if symmetric:
+        eig_denominators(factors[0], factors[2])
     return tuple(factors)
 
 
 def solve_sylvester_dense(a1, a2, b, schur=None):
     """Solve A1 X + X A2^T = B for dense square A1 (m x m), A2 (k x k), B (m x k).
 
-    ``schur`` is ``sylvester_schur(a1, a2, ...)``, computed here (both sides
-    Schur) when not given; the back-solve then repeats scipy's
+    ``schur`` is ``sylvester_schur(a1, a2)``, computed here when not given.
+    On Schur forms the back-solve repeats scipy's
     ``solve_sylvester(a1, a2.T, b)`` step for step, so the result is bitwise
     the same, and raises SpectralOverlap when its residual exceeds 1e-6
     relative to B (the spectra of A1 and -A2^T near-intersect).  With eigen

@@ -80,11 +80,20 @@ class TestButcherTables:
         assert abs(np.dot(b, c**2) - 1.0 / 3.0) <= 1e-9
         assert abs(float(b @ a @ c) - 1.0 / 6.0) <= 1e-9
 
-    def test_all_tables_stiffly_accurate(self):
+    def test_all_tables_meet_their_order_conditions(self):
+        # every condition up to the stated order, so dirk2's b.c = 1/2 too;
+        # dirk3's floor is set by its 10-digit root constant
         for name, t in builtin_tables().items():
-            assert np.abs(t.b - t.a[-1]).max() <= 1e-14, name
-            assert np.abs(t.c - t.a.sum(axis=1)).max() <= 1e-14, name
-            assert (np.diag(t.a) > 0.0).all(), name
+            b, c, a = t.b, t.c, t.a
+            conditions = {
+                1: [(b.sum(), 1.0)],
+                2: [(np.dot(b, c), 0.5)],
+                3: [(np.dot(b, c**2), 1.0 / 3.0), (float(b @ a @ c), 1.0 / 6.0)],
+            }
+            tol = 1e-9 if name == "dirk3" else 1e-15
+            for order in range(1, t.order + 1):
+                for got, want in conditions[order]:
+                    assert abs(got - want) <= tol, (name, order, want)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -93,12 +102,17 @@ class TestButcherTables:
     def test_invalid_table_rejected(self):
         from kryrank.dirk import ButcherTable
 
-        with pytest.raises(DimensionMismatch):
-            ButcherTable(
-                name="bad",
-                a=np.array([[0.5]]),
-                order=1,
-            )
+        cases = [
+            ([[0.5]], "sum to 1"),
+            ([1.0], "square"),
+            ([[0.5, 0.0, 0.0], [0.5, 0.5, 0.0]], "square"),
+            ([[0.5, 0.1], [0.5, 0.5]], "lower triangular"),
+            ([[0.0, 0.0], [1.0, 0.0]], "positive"),
+            ([[-0.5, 0.0], [1.5, -0.5]], "positive"),
+        ]
+        for a, match in cases:
+            with pytest.raises(DimensionMismatch, match=match):
+                ButcherTable(name="bad", a=np.array(a), order=1)
 
     def test_non_constant_diagonal_rejected(self):
         # every stage shares one operator pair, so a_kk must not vary
@@ -249,9 +263,9 @@ class TestDirkStep:
         calls = []
         schur = krylov.sylvester_schur
 
-        def counted(a1, a2, symmetric=False):
+        def counted(a1, a2):
             calls.append(a1.shape)
-            return schur(a1, a2, symmetric)
+            return schur(a1, a2)
 
         monkeypatch.setattr(krylov, "sylvester_schur", counted)
         n = 32

@@ -646,24 +646,28 @@ class TestSolveAdaptive:
         from kryrank.dirk import assemble_stage_operator
         from kryrank.heat import build_heat_operator, heat_initial_condition
 
-        flags = []
+        t_ndims = []
         factor = krylov.sylvester_schur
 
-        def counted(a1, a2, symmetric=False):
-            flags.append(symmetric)
-            return factor(a1, a2, symmetric)
+        def counted(a1, a2):
+            fac = factor(a1, a2)
+            t_ndims.append(fac[0].ndim)
+            return fac
 
         monkeypatch.setattr(krylov, "sylvester_schur", counted)
         n = 64
         a_op = assemble_stage_operator(build_heat_operator(n, 0.5, 1.0 / n), 0.01, 1.0)
         _f, diag = solve_adaptive(a_op, a_op, heat_initial_condition(n), 1e-8)
         assert diag.stage_residuals[-1] < 1e-8
-        assert flags and set(flags) == {True}
+        # eigenvalues (1-D T) for heat's symmetrized blocks
+        assert t_ndims and set(t_ndims) == {1}
         rng = np.random.default_rng(35)
         a1 = random_dd_tridiag(rng, n)
-        flags.clear()
+        assert not a1.symmetric
+        t_ndims.clear()
         solve_adaptive(a1, a_op, random_rhs(rng, n, n, 2), 1e-8)
-        assert flags and set(flags) == {False}
+        # quasi-triangular Schur forms (2-D T) for a non-symmetric pair
+        assert t_ndims and set(t_ndims) == {2}
 
     def test_symmetric_spectral_overlap_is_typed(self):
         n = 12

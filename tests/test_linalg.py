@@ -716,10 +716,10 @@ class TestSolveSylvesterDense:
                     sylvester_schur(*pair)
 
     def test_schur_factors_are_bitwise_scipy_schur(self):
-        # sylvester_schur calls dgees directly, with scipy's finite check and
-        # workspace query: the same T and Z as scipy.linalg.schur
+        # a non-symmetric pair gets scipy.linalg.schur's T and Z; from m=2 on,
+        # since a 1 x 1 pair is symmetric and takes eigh
         rng = np.random.default_rng(46)
-        for m in range(1, 41):
+        for m in range(2, 41):
             a1 = rng.standard_normal((m, m))
             a2 = np.asfortranarray(rng.standard_normal((m, m)) + m * np.eye(m))
             got = sylvester_schur(a1, a2)
@@ -735,7 +735,7 @@ class TestSolveSylvesterDense:
                 g2 = rng.standard_normal((k, k))
                 a1 = g1 @ g1.T + 0.1 * np.eye(m)
                 a2 = g2 @ g2.T + 0.1 * np.eye(k)
-                fac = sylvester_schur(a1, a2, symmetric=True)
+                fac = sylvester_schur(a1, a2)
                 assert fac[0].shape == (m,) and fac[2].shape == (k,)
                 b = rng.standard_normal((m, k))
                 want = scipy.linalg.solve_sylvester(a1, a2.T, b)
@@ -757,8 +757,35 @@ class TestSolveSylvesterDense:
             assert np.array_equal(f / (w1[:, None] + w2[None, :]), y), (m, k)
 
     def test_non_finite_symmetric_operator_is_spectral_overlap(self):
-        with pytest.raises(SpectralOverlap):
-            sylvester_schur(np.array([[np.nan]]), np.eye(1), symmetric=True)
+        # an exactly symmetric pair takes eigh, which returns the infinite
+        # eigenvalue that eig_denominators alone would pass
+        a = np.eye(4)
+        a[1, 2] = a[2, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.array([[np.inf]]), np.diag([1.0, -np.inf]), a):
+                for pair in ((bad, np.eye(3)), (np.eye(3), bad)):
+                    with pytest.raises(SpectralOverlap):
+                        sylvester_schur(*pair)
+
+    def test_non_square_side_is_spectral_overlap(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))):
+                for pair in ((bad, np.eye(2)), (np.eye(2), bad)):
+                    with pytest.raises(SpectralOverlap, match="square"):
+                        sylvester_schur(*pair)
+
+    def test_rhs_shape_mismatch_raises(self):
+        rng = np.random.default_rng(47)
+        a1 = rng.standard_normal((3, 3)) + 6.0 * np.eye(3)
+        a2 = np.eye(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for schur in (None, sylvester_schur(a1, a2)):
+                for shape in ((4, 3), (3, 3), (3,), (3, 4, 1)):
+                    with pytest.raises(DimensionMismatch, match="B must be"):
+                        solve_sylvester_dense(a1, a2, np.ones(shape), schur)
 
     def test_symmetric_spectral_overlap_raises_without_warning(self):
         a1 = np.array([[1.0]])
@@ -766,21 +793,22 @@ class TestSolveSylvesterDense:
         b = np.array([[1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for sym in (True, False):
-                with pytest.raises(SpectralOverlap):
-                    solve_sylvester_dense(a1, a2, b, sylvester_schur(a1, a2, symmetric=sym))
+            with pytest.raises(SpectralOverlap):
+                solve_sylvester_dense(a1, a2, b, sylvester_schur(a1, a2))
             with pytest.raises(SpectralOverlap):
                 solve_sylvester_dense(a1, a2, b)
 
-    # (m, delta) -> (eigh path raises, Schur path raises) for A2 = -A1 + delta I.
-    # At delta 1e-8 the eigh path's a-priori bound m eps (5 + 5) exceeds
-    # 1e-6 sep once m > 4, while the Schur path's measured residual (~1e-7)
-    # stays under its 1e-6 check: the factorization-time guard is the
-    # stricter one, as its docstring says.
+    # (m, delta) -> (eigh path raises, Schur path raises) for A2 = -A1 + delta I,
+    # exactly symmetric, and for the same A2 with a2[0, 1] moved one ulp,
+    # which takes the Schur path; a 1 x 1 pair is always symmetric, so m = 1
+    # has no Schur case (None).  At delta 1e-8 the eigh path's a-priori bound
+    # m eps (5 + 5) exceeds 1e-6 sep once m > 4, while the Schur path's
+    # measured residual (~1e-7) stays under its 1e-6 check: the
+    # factorization-time guard is the stricter one, as its docstring says.
     NEAR_OVERLAP = {
-        (1, 1e-3): (False, False), (8, 1e-3): (False, False), (64, 1e-3): (False, False),
-        (1, 1e-8): (False, False), (8, 1e-8): (True, False), (64, 1e-8): (True, False),
-        (1, 1e-12): (True, True), (8, 1e-12): (True, True), (64, 1e-12): (True, True),
+        (1, 1e-3): (False, None), (8, 1e-3): (False, False), (64, 1e-3): (False, False),
+        (1, 1e-8): (False, None), (8, 1e-8): (True, False), (64, 1e-8): (True, False),
+        (1, 1e-12): (True, None), (8, 1e-12): (True, True), (64, 1e-12): (True, True),
     }
 
     @pytest.mark.parametrize("m, delta", sorted(NEAR_OVERLAP))
@@ -792,19 +820,27 @@ class TestSolveSylvesterDense:
         a1 = (q * lam) @ q.T
         a1 = 0.5 * (a1 + a1.T)
         a2 = -a1 + delta * np.eye(m)
+        nudged = a2.copy()
+        if m > 1:
+            nudged[0, 1] = np.nextafter(nudged[0, 1], np.inf)
         b = rng.standard_normal((m, m))
         solved = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for sym, raises in zip((True, False), self.NEAR_OVERLAP[m, delta]):
+            cases = zip((a2, nudged), (True, False), self.NEAR_OVERLAP[m, delta])
+            for a2_case, eigen, raises in cases:
+                if raises is None:
+                    continue
                 if raises:
                     with pytest.raises(SpectralOverlap):
-                        solve_sylvester_dense(a1, a2, b, sylvester_schur(a1, a2, sym))
+                        solve_sylvester_dense(a1, a2_case, b, sylvester_schur(a1, a2_case))
                     continue
-                x = solve_sylvester_dense(a1, a2, b, sylvester_schur(a1, a2, sym))
-                res = np.linalg.norm(a1 @ x + x @ a2.T - b)
-                assert res <= 1e-6 * np.linalg.norm(b), (sym, res)
+                fac = sylvester_schur(a1, a2_case)
+                assert (fac[0].ndim == 1) == eigen
+                x = solve_sylvester_dense(a1, a2_case, b, fac)
+                res = np.linalg.norm(a1 @ x + x @ a2_case.T - b)
+                assert res <= 1e-6 * np.linalg.norm(b), (eigen, res)
                 solved.append(x)
-        if delta == 1e-3:
+        if delta == 1e-3 and m > 1:
             # both paths solved, and they agree to the conditioning 10 eps / delta
             assert np.abs(solved[0] - solved[1]).max() <= 1e-10 * np.abs(solved[1]).max()

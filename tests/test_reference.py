@@ -245,10 +245,11 @@ class TestDenseDirkStep:
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_reused_solver_is_bitwise_refactored_scipy_loop(self):
+        # non-symmetric generators, so the stage pair takes Schur forms
         rng = np.random.default_rng(72)
         n = 16
-        d1 = build_heat_operator(n, 0.5, 1.0 / n).dense()
-        d2 = build_heat_operator(n, 0.2, 1.0 / n).dense()
+        d1 = lbfp_operator(n).dense()
+        d2 = 0.5 * lbfp_operator(n).dense()
         f0 = rng.standard_normal((n, n))
         dt = 0.01
         for name in ("be", "dirk2", "dirk3"):
@@ -302,11 +303,17 @@ class TestDenseDirkStep:
                 want = dense_dirk_step(want, table, eig_solver(w1, w2, 0.01, table.a[0, 0]))
             assert np.array_equal(got, want), name
 
-    def test_symmetric_factorization_rejects_nonsymmetric_operator(self):
-        # the eigenbasis is only taken of exactly symmetric generators
-        d = lbfp_operator(16).dense()
-        with pytest.raises(DimensionMismatch):
-            sylvester_schur(d, d, symmetric=True)
+    def test_nonsymmetric_generator_takes_schur_forms(self):
+        # the eigenbasis is only taken of exactly symmetric pairs: a
+        # non-symmetric side, on either side, gives both sides Schur forms
+        d = 0.5 * np.eye(16) - 0.01 * lbfp_operator(16).dense()
+        h = 0.5 * np.eye(16) - 0.01 * build_heat_operator(16, 0.5, 1.0 / 16).dense()
+        assert not np.array_equal(d, d.T) and np.array_equal(h, h.T)
+        for pair in ((d, d), (d, h), (h, d)):
+            want = [f for a in pair for f in scipy.linalg.schur(a, output="real")]
+            for got, w in zip(sylvester_schur(*pair), want):
+                assert np.array_equal(got, w)
+        assert sylvester_schur(h, h)[0].ndim == 1
 
     def test_state_shape_must_match_generators(self):
         # a (1, 8) state would broadcast against 8 x 8 stage divisors to (8, 8)
