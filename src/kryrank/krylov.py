@@ -7,9 +7,11 @@ system solved densely.  Writing A Q = Q C + P with P orthogonal to Q on each
 side, the residual of F = U S V^T is the hypot of three orthogonal blocks,
 C_u S + S C_v^T - B~, P_u S and P_v S^T: an exact check at O(n r^2) BLAS-3
 cost per stage, no QR, valid for orthonormal U, V, a twice-projected P and
-seed blocks inside the spans.  A grown candidate is deflated only when its
-remainder is at rounding level, so no power chain is cut while it still adds
-a direction.
+seed blocks inside the spans.  These hold by construction: each basis starts
+with its seed's orthonormal columns, so B~ is the seed's core, formed once
+per solve and zero-padded as the bases grow.  A grown candidate is deflated
+only when its remainder is at rounding level, so no power chain is cut while
+it still adds a direction.
 """
 
 import functools
@@ -121,11 +123,13 @@ def _galerkin_side(op, q):
     return c, p
 
 
-def assemble_galerkin(a1, a2, u1, v1, b):
-    """Project A1 F + F A2^T = B onto bases U1, V1."""
+def assemble_galerkin(a1, a2, u1, v1, core):
+    """Project A1 F + F A2^T = B onto bases U1, V1 that start with the seed
+    blocks, B = U1[:, :m1] ``core`` V1[:, :m2]^T: B~ is ``core`` zero-padded."""
     c_u, p_u = _galerkin_side(a1, u1)
     c_v, p_v = _galerkin_side(a2, v1)
-    b_red = (u1.T @ b.u) @ b.s @ (b.v.T @ v1)
+    b_red = np.zeros((u1.shape[1], v1.shape[1]))
+    b_red[: core.shape[0], : core.shape[1]] = core
     return GalerkinSystem(c_u, c_v, b_red, p_u, p_v)
 
 
@@ -200,7 +204,8 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
         The stage operator pair, shared by every stage (the tables are singly
         diagonally implicit) and used for basis growth.
     b : LowRankFactors
-        Factored right-hand side seeding both bases.
+        Factored right-hand side seeding both bases.  Its core in them is
+        formed once: ``b.s``, or one projection when ``b`` is not orthonormal.
     tol : float
         Residual tolerance of every stage (strict ``<`` acceptance).
     coeff : (s, s) ndarray
@@ -217,12 +222,13 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
     s = coeff.shape[0]
     ub = seed_basis(b.u, orthonormal=b.orthonormal)
     vb = seed_basis(b.v, orthonormal=b.orthonormal)
+    core = b.s if b.orthonormal else (ub.q.T @ b.u) @ b.s @ (b.v.T @ vb.q)
     history = []
     rejects = []
     best = None
     saturated = False
     for m in range(max_iter + 1):
-        system = assemble_galerkin(op1, op2, ub.q, vb.q, b)
+        system = assemble_galerkin(op1, op2, ub.q, vb.q, core)
         schur = sylvester_schur(system.a1, system.a2)
         solve = functools.partial(solve_sylvester_dense, system.a1, system.a2, schur=schur)
         cores = []

@@ -24,9 +24,9 @@ spectra raise SpectralOverlap: the Schur back-solve checks its residual
 against 1e-6 of the right-hand side after each solve, while the symmetric
 path checks once, in ``eig_denominators`` when the pair is factored, an
 a-priori bound on that same residual, O(mk) against the O(mk(m+k)) residual
-product, and at least as strict.  scipy is imported only by the
-non-symmetric branches, at their first call, so symmetric (heat) runs load
-numpy alone.
+product, and at least as strict.  Real Schur forms come from ``dgees``, bitwise
+``scipy.linalg.schur`` without its wrapper; scipy is imported only by the
+non-symmetric branches, at their first call, so heat runs load numpy alone.
 Layout rule: every n-by-k block the package creates is column-major, and
 every n-by-k product is formed column-major by ``_times``.  ``mgs_qr``
 works in a column-major buffer (in place with ``overwrite``),
@@ -300,7 +300,11 @@ def _bcgs2(q, cand, drop, cap):
         new -= _times(q, q.T @ new)
         # Cholesky QR of a block orthonormal to rounding: the triangular
         # factor is near I, so its inverse is well conditioned and keeps signs
-        r_inv = np.linalg.inv(np.linalg.cholesky(new.T @ new)).T
+        try:
+            r_inv = np.linalg.inv(np.linalg.cholesky(new.T @ new)).T
+        except np.linalg.LinAlgError as exc:
+            msg = "Cholesky finish of %d columns after a prefix of rank %d failed: %s"
+            raise ConvergenceFailure(msg % (new.shape[1], q.shape[1], exc)) from exc
         new[:] = _times(new, r_inv)
     return new, accepted
 
@@ -387,26 +391,42 @@ def eig_denominators(w1, w2):
     return denom
 
 
+def _unsorted(*_):
+    """dgees' eigenvalue selector, never called without sorting."""
+
+
+def _real_schur(a):
+    """``scipy.linalg.schur(a, output="real")`` of a nonempty square ``a`` without
+    its wrapper: the same finite check, workspace query and ``dgees`` call."""
+    from scipy.linalg.lapack import dgees
+
+    if not np.all(np.isfinite(a)):
+        raise ValueError("array must not contain infs or NaNs")
+    lwork = int(dgees(_unsorted, a, lwork=-1)[-2][0])
+    t, _, _, _, z, _, info = dgees(_unsorted, a, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError("dgees info=%d" % info)
+    return t, z
+
+
 def sylvester_schur(a1, a2):
     """Factor half of a Sylvester solve: (T1, Z1, T2, Z2) with A = Z T Z^T.
 
     A pair whose two sides are both exactly symmetric is diagonalized by
     ``eigh``: each T is the 1-D array of eigenvalues, and the pair must pass
     ``eig_denominators``' overlap guard.  Any other pair gets its real Schur
-    forms from ``scipy.linalg.schur``, and the back-solve checks its residual
+    forms from ``_real_schur``, and the back-solve checks its residual
     instead.  A side that is not a square matrix, or a failed or non-finite
     factorization, raises SpectralOverlap.
     """
     pair = [np.asarray(a, dtype=float) for a in (a1, a2)]
     symmetric = all(np.array_equal(a, a.T) for a in pair)
-    if not symmetric:
-        import scipy.linalg
     factors = []
     for a in pair:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise SpectralOverlap("Sylvester solve failed: expected a square matrix")
         try:
-            t, z = np.linalg.eigh(a) if symmetric else scipy.linalg.schur(a, output="real")
+            t, z = np.linalg.eigh(a) if symmetric else _real_schur(a)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise SpectralOverlap("Sylvester solve failed: %s" % exc) from exc
         # eigh returns inf for an infinite entry, which eig_denominators passes

@@ -73,16 +73,9 @@ def joint_basis(f, extra_u, extra_v):
     """
     ru_cols = f.u.shape[1]
     rv_cols = f.v.shape[1]
-    qu, ru = mgs_qr(
-        _column_major_stack(f.u, extra_u),
-        ortho_prefix=ru_cols if f.orthonormal else 0,
-        overwrite=True,
-    )
-    qv, rv = mgs_qr(
-        _column_major_stack(f.v, extra_v),
-        ortho_prefix=rv_cols if f.orthonormal else 0,
-        overwrite=True,
-    )
+    pre_u, pre_v = (ru_cols, rv_cols) if f.orthonormal else (0, 0)
+    qu, ru = mgs_qr(_column_major_stack(f.u, extra_u), ortho_prefix=pre_u, overwrite=True)
+    qv, rv = mgs_qr(_column_major_stack(f.v, extra_v), ortho_prefix=pre_v, overwrite=True)
     core_f = ru[:, :ru_cols] @ f.s @ rv[:, :rv_cols].T
     return qu, qv, core_f, ru[:, ru_cols:], rv[:, rv_cols:]
 
@@ -111,33 +104,28 @@ def conservative_truncate(f, range_u, range_v, rows_u, rows_v, modes, target, ep
     projection onto the range makes the remainder moment-free, only the
     remainder is truncated, and the range coefficients are then solved for
     so the moments equal ``target`` exactly.  All corrections act on cores in
-    one joint basis.  Returns orthonormal column-major factors of rank at
-    most rank(f) + range columns; the layout carries into the next step's
-    Krylov seeds and every n-by-r pass over them.
+    one joint basis, through two k-by-(m1 m2) matrices formed once: row j of
+    the moment matrix K measures moment j of a flattened core, and row j of
+    R is the flattened core of range direction j.  Returns orthonormal
+    column-major factors of rank at most rank(f) + range columns; the layout
+    carries into the next step's Krylov seeds and every n-by-r pass over them.
     """
     modes = np.asarray(modes, dtype=float)
     qu, qv, core_f, cu, cv = joint_basis(f, range_u, range_v)
-    pu = rows_u @ qu
-    pv = rows_v @ qv
-
-    def moments(core):
-        return _mode_contraction(modes, pu, core, pv)
-
-    def range_core(c):
-        return cu @ np.tensordot(c, modes, axes=1) @ cv.T
-
-    # moment map of representable range updates, through the same coordinate
-    # contractions as the measurement below: basis components dropped during
-    # the joint factorization otherwise break the pin once a large row (the
-    # v^2 row has norm ~ vmax^2 sqrt(n) dv) amplifies them
-    geff = np.column_stack([moments(cu @ e @ cv.T) for e in modes])
+    kmat = ((rows_u @ qu).T @ modes @ (rows_v @ qv)).reshape(len(modes), -1)
+    rmat = (cu @ modes @ cv.T).reshape(len(modes), -1)
+    # the moment map of representable range updates goes through K, the
+    # contraction that measures the moments below: basis components dropped
+    # during the joint factorization otherwise break the pin once a large row
+    # (the v^2 row has norm ~ vmax^2 sqrt(n) dv) amplifies them
+    geff = kmat @ rmat.T
     # raw conditioning can grow like vth^4; Jacobi scaling keeps it O(1)
     dsc = 1.0 / np.sqrt(np.abs(np.diag(geff)))
     geff_s = geff * dsc[:, None] * dsc[None, :]
-    c0 = dsc * np.linalg.solve(geff_s, dsc * moments(core_f))
-    core2, _, _, _ = core_truncate(core_f - range_core(c0), eps)
-    resid = np.asarray(target, dtype=float) - moments(core2)
-    final = core2 + range_core(dsc * np.linalg.solve(geff_s, dsc * resid))
+    c0 = dsc * np.linalg.solve(geff_s, dsc * (kmat @ core_f.ravel()))
+    core2, _, _, _ = core_truncate(core_f - (c0 @ rmat).reshape(core_f.shape), eps)
+    resid = np.asarray(target, dtype=float) - kmat @ core2.ravel()
+    final = core2 + (dsc * np.linalg.solve(geff_s, dsc * resid) @ rmat).reshape(core_f.shape)
     # rounding-level modes of the corrected core would inflate the rank
     _, w1, sig, w2 = core_truncate(final, 1e-14 * np.linalg.norm(final))
     return LowRankFactors(_times(qu, w1), np.diag(sig), _times(qv, w2), orthonormal=True)
@@ -175,14 +163,11 @@ def lr_moments(f, rows_u, rows_v, modes):
     """Moments <E_j, rows_u F rows_v^T> of factored F, one per core of ``modes``.
 
     ``rows_u`` (p x n1) and ``rows_v`` (q x n2) are a model's functional rows
-    and ``modes`` a (k, p, q) stack of cores E_j; ``conservative_truncate``
-    pins by the same contraction.  Returns k moments.  Cost O((p n1 + q n2) r).
+    and ``modes`` a (k, p, q) stack of cores E_j, the functionals
+    ``conservative_truncate`` pins.  Returns k moments.  Cost
+    O((p n1 + q n2) r).
     """
     if np.shape(rows_u)[1:] != f.shape[:1] or np.shape(rows_v)[1:] != f.shape[1:]:
         raise DimensionMismatch("functional rows do not match factors %s" % (f.shape,))
-    return _mode_contraction(np.asarray(modes, dtype=float), rows_u @ f.u, f.s, rows_v @ f.v)
-
-
-def _mode_contraction(modes, pu, core, pv):
-    """<E_j, pu core pv^T> for every core E_j of the (k, p, q) stack ``modes``."""
-    return np.einsum("jab,ab->j", modes, pu @ core @ pv.T)
+    proj = (rows_u @ f.u) @ f.s @ (rows_v @ f.v).T
+    return np.einsum("jab,ab->j", np.asarray(modes, dtype=float), proj)

@@ -146,7 +146,7 @@ def test_criterion_03_residual_identity():
         if rng.uniform() < 0.7:
             bu = grow_basis(bu, a1)
             bv = grow_basis(bv, a2)
-        sys = assemble_galerkin(a1, a2, bu.q, bv.q, b)
+        sys = assemble_galerkin(a1, a2, bu.q, bv.q, b.s)
         core = solve_sylvester_dense(sys.a1, sys.a2, sys.b)
         fm = bu.q @ core @ bv.q.T
         dense = np.linalg.norm(a1.dense() @ fm + fm @ a2.dense().T - b.materialize())
@@ -376,7 +376,7 @@ def _property_galerkin(rng):
         )
         bu = grow_basis(seed_basis(b.u, orthonormal=True), a1)
         bv = grow_basis(seed_basis(b.v, orthonormal=True), a2)
-        sys = assemble_galerkin(a1, a2, bu.q, bv.q, b)
+        sys = assemble_galerkin(a1, a2, bu.q, bv.q, b.s)
         core = solve_sylvester_dense(sys.a1, sys.a2, sys.b)
         fm = bu.q @ core @ bv.q.T
         resid = a1.dense() @ fm + fm @ a2.dense().T - b.materialize()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from kryrank import krylov
 from kryrank.errors import (
     BasisSaturated,
+    ConvergenceFailure,
     DimensionMismatch,
     MaxIterationsExceeded,
     SpectralOverlap,
@@ -295,6 +296,44 @@ def slow_heat_step():
     return (stage, stage), f, tol, table, post
 
 
+class TestCholeskyFinish:
+    """A failed Cholesky finish in ``_bcgs2`` is a typed ConvergenceFailure.
+
+    No candidate block built from rounding alone was found to reach it, so
+    the factorization is replaced by one that reports a non-positive-definite
+    Gram matrix, as LAPACK does for an accepted block that nearly lies inside
+    span(q)."""
+
+    @pytest.fixture
+    def failing_cholesky(self, monkeypatch):
+        def cholesky(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+
+    def test_grow_basis_raises_typed(self, failing_cholesky):
+        rng = np.random.default_rng(26)
+        n = 16
+        basis = seed_basis(np.linalg.qr(rng.standard_normal((n, 2)))[0], orthonormal=True)
+        with pytest.raises(ConvergenceFailure, match="prefix of rank 2"):
+            grow_basis(basis, random_dd_tridiag(rng, n))
+
+    def test_mgs_qr_with_prefix_raises_typed(self, failing_cholesky):
+        rng = np.random.default_rng(27)
+        q = np.linalg.qr(rng.standard_normal((16, 3)))[0]
+        m = np.column_stack([q, rng.standard_normal((16, 2))])
+        with pytest.raises(ConvergenceFailure, match="2 columns after a prefix of rank 3"):
+            mgs_qr(m, ortho_prefix=3)
+
+    def test_adaptive_solve_does_not_swallow_it(self, failing_cholesky):
+        # growth suppresses BasisSaturated only
+        rng = np.random.default_rng(28)
+        n = 16
+        a1 = random_dd_tridiag(rng, n)
+        with pytest.raises(ConvergenceFailure):
+            solve_adaptive(a1, a1, random_rhs(rng, n, n, 2), 1e-12)
+
+
 class TestRoundingLevelDeflation:
     """``grow_basis`` keeps every candidate whose remainder is above rounding."""
 
@@ -430,20 +469,27 @@ class TestGalerkinAssembly:
         a2 = random_dd_tridiag(rng, n)
         b = random_rhs(rng, n, n, 2)
         eye = np.eye(n)
-        sys = assemble_galerkin(a1, a2, eye, eye, b)
+        sys = assemble_galerkin(a1, a2, eye, eye, b.materialize())
         assert np.abs(sys.a1 - a1.dense()).max() <= 1e-13
         assert np.abs(sys.a2 - a2.dense()).max() <= 1e-13
         assert np.abs(sys.b - b.materialize()).max() <= 1e-13
 
-    def test_orthogonal_rhs_projects_to_zero(self):
+    def test_seed_core_is_zero_padded(self):
+        # B = U[:, :m1] core V[:, :m2]^T in seed-prefixed bases: the padded
+        # core is the projection U^T B V, with no product formed
         rng = np.random.default_rng(12)
         n = 12
         a1 = random_dd_tridiag(rng, n)
         a2 = random_dd_tridiag(rng, n)
-        e = np.eye(n)
-        b = LowRankFactors(e[:, :1], np.array([[1.0]]), e[:, 3:4], orthonormal=True)
-        sys = assemble_galerkin(a1, a2, e[:, :2], e[:, :2], b)
-        assert np.abs(sys.b).max() <= 1e-14
+        u = np.linalg.qr(rng.standard_normal((n, 5)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, 4)))[0]
+        core = rng.standard_normal((2, 3))
+        sys = assemble_galerkin(a1, a2, u, v, core)
+        assert sys.b.shape == (5, 4)
+        assert np.array_equal(sys.b[:2, :3], core)
+        assert np.count_nonzero(sys.b) == np.count_nonzero(core)
+        want = u.T @ (u[:, :2] @ core @ v[:, :3].T) @ v
+        assert np.abs(sys.b - want).max() <= 1e-14 * np.abs(core).max()
 
     def test_reduced_operator_matches_triple_product(self):
         rng = np.random.default_rng(13)
@@ -452,7 +498,8 @@ class TestGalerkinAssembly:
         a2 = random_dd_tridiag(rng, n)
         u1 = np.linalg.qr(rng.standard_normal((n, 5)))[0]
         v1 = np.linalg.qr(rng.standard_normal((n, 5)))[0]
-        sys = assemble_galerkin(a1, a2, u1, v1, random_rhs(rng, n, n, 2))
+        b = random_rhs(rng, n, n, 2)
+        sys = assemble_galerkin(a1, a2, u1, v1, u1.T @ b.materialize() @ v1)
         assert np.abs(sys.a1 - u1.T @ a1.dense() @ u1).max() <= 1e-13
         assert np.abs(sys.a2 - v1.T @ a2.dense() @ v1).max() <= 1e-13
 
@@ -465,7 +512,7 @@ class TestResidualNorm:
         a2 = random_dd_tridiag(rng, n)
         b = random_rhs(rng, n, n, 2)
         eye = np.eye(n)
-        sys = assemble_galerkin(a1, a2, eye, eye, b)
+        sys = assemble_galerkin(a1, a2, eye, eye, b.materialize())
         s1 = solve_sylvester_dense(sys.a1, sys.a2, sys.b)
         assert residual_norm(sys, s1) <= 1e-10 * lr_frobenius(b)
 
@@ -476,7 +523,8 @@ class TestResidualNorm:
         a2 = random_dd_tridiag(rng, n)
         e = np.eye(n)
         b = LowRankFactors(e[:, :1], np.array([[1.0]]), e[:, 5:6], orthonormal=True)
-        sys = assemble_galerkin(a1, a2, e[:, :2], e[:, :2], b)
+        proj = e[:, :2].T @ b.materialize() @ e[:, :2]
+        sys = assemble_galerkin(a1, a2, e[:, :2], e[:, :2], proj)
         assert residual_norm(sys, np.zeros((2, 2))) == 0.0
 
     def test_partial_basis_matches_dense_residual(self):
@@ -487,7 +535,7 @@ class TestResidualNorm:
         b = random_rhs(rng, n, n, 2)
         basis_u = grow_basis(seed_basis(b.u, orthonormal=True), a1)
         basis_v = grow_basis(seed_basis(b.v, orthonormal=True), a2)
-        sys = assemble_galerkin(a1, a2, basis_u.q, basis_v.q, b)
+        sys = assemble_galerkin(a1, a2, basis_u.q, basis_v.q, b.s)
         s1 = solve_sylvester_dense(sys.a1, sys.a2, sys.b)
         f = LowRankFactors(basis_u.q, s1, basis_v.q, orthonormal=True)
         want = dense_residual_oracle(a1, a2, b, f)
@@ -509,7 +557,7 @@ class TestResidualNorm:
             if rng.uniform() < 0.7:
                 bu = grow_basis(bu, a1)
                 bv = grow_basis(bv, a2)
-            sys = assemble_galerkin(a1, a2, bu.q, bv.q, b)
+            sys = assemble_galerkin(a1, a2, bu.q, bv.q, b.s)
             s1 = solve_sylvester_dense(sys.a1, sys.a2, sys.b)
             f = LowRankFactors(bu.q, s1, bv.q, orthonormal=True)
             want = dense_residual_oracle(a1, a2, b, f)
@@ -525,7 +573,7 @@ class TestResidualNorm:
         bv = seed_basis(b.v, orthonormal=b.orthonormal)
         for rounds in (1, 2, 3):
             bu, bv = grow_basis(bu, a1), grow_basis(bv, a2)
-            sys = assemble_galerkin(a1, a2, bu.q, bv.q, b)
+            sys = assemble_galerkin(a1, a2, bu.q, bv.q, b.s)
             s1 = solve_sylvester_dense(sys.a1, sys.a2, sys.b)
             f = LowRankFactors(bu.q, s1, bv.q, orthonormal=True)
             want = dense_residual_oracle(a1, a2, b, f)
@@ -542,7 +590,7 @@ class TestResidualNorm:
                     basis = grow_basis(basis, op)
             assert basis.rank == 16
             bases.append(basis.q)
-        sys = assemble_galerkin(a1, a2, bases[0], bases[1], b)
+        sys = assemble_galerkin(a1, a2, bases[0], bases[1], b.s)
         for op, p in ((a1, sys.p_u), (a2, sys.p_v)):
             assert np.abs(p).max() <= 1e-14 * np.abs(op.dense()).max()
         # a core far from the solution, so the Galerkin block is O(1)
@@ -697,6 +745,32 @@ class TestSolveAdaptive:
             f, diag = solve_adaptive(a1, a2, b, eps)
             assert diag.stage_residuals[-1] < eps
             assert dense_residual_oracle(a1, a2, b, f) < eps
+
+    def test_non_orthonormal_seed_core_formed_once(self):
+        # a seed that is not orthonormal enters as its projection onto the
+        # seed bases, padded as they grow; a repeated column and one at
+        # 1e-14 scale make it rank-deficient, and its dropped remainder
+        # (~1e-14) stays far below the residual at this tolerance
+        rng = np.random.default_rng(39)
+        n = 40
+        a1 = random_dd_tridiag(rng, n)
+        a2 = random_dd_tridiag(rng, n)
+        u = rng.standard_normal((n, 2))
+        v = rng.standard_normal((n, 3))
+        deficient = LowRankFactors(
+            np.column_stack([u[:, 0], u[:, 1], u[:, 0], 1e-14 * rng.standard_normal(n)]),
+            rng.standard_normal((4, 4)),
+            np.column_stack([v[:, 0], v[:, 1], 1e-14 * rng.standard_normal(n), v[:, 2]]),
+        )
+        full_rank = LowRankFactors(u, rng.standard_normal((2, 3)), v)
+        for b in (deficient, full_rank):
+            eps = 1e-4 * lr_frobenius(b)
+            f, diag = solve_adaptive(a1, a2, b, eps)
+            assert diag.iterations >= 1
+            got = diag.stage_residuals[-1]
+            want = dense_residual_oracle(a1, a2, b, f)
+            assert got < eps
+            assert abs(got - want) <= 1e-9 * want
 
     def test_zero_seed_raises(self):
         rng = np.random.default_rng(38)
