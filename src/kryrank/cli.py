@@ -113,7 +113,7 @@ def _self_check(seed):
     results.append(("flux-weight-identity", gap <= 1e-13, "max gap %.2e" % gap))
 
     d = build_heat_operator(64, 0.5, 1.0 / 64)
-    drift = float(np.max(np.abs(d.apply(np.ones(64)))))
+    drift = float(np.max(np.abs(d.apply(np.ones((64, 1))))))
     scale = float(np.max(np.abs(d.dense())))
     results.append(("constant-null-mode", drift <= 1e-12 * scale, "max drift %.2e" % drift))
 
@@ -122,7 +122,7 @@ def _self_check(seed):
     x = rng.standard_normal((64, 3))
     err = float(np.max(np.abs(stage.solve(stage.apply(x)) - x)) / np.max(np.abs(x)))
     try:
-        d.solve(np.ones(64))
+        d.solve(np.ones((64, 1)))
         singular = False
     except SingularOperator:
         singular = True

@@ -146,27 +146,21 @@ def _parse_species(blocks):
         drift = _as_list(drift)
         if len(drift) != 2:
             raise ConfigError("drift needs 2 components", path + ".drift")
-        try:
-            sp = SpeciesConfig(
-                name=name,
-                mass=_as_float(blk["mass"], path + ".mass", positive=True),
-                charge=_as_float(blk["charge"], path + ".charge"),
-                density=_as_float(
-                    blk.get("density", 1.0), path + ".density", positive=True
-                ),
-                temperature=_as_float(
-                    blk.get("temperature", 1.0), path + ".temperature", positive=True
-                ),
-                drift=(
-                    _as_float(drift[0], path + ".drift[0]"),
-                    _as_float(drift[1], path + ".drift[1]"),
-                ),
-            )
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(str(exc), path) from None
-        out.append(sp)
+        out.append(SpeciesConfig(
+            name=name,
+            mass=_as_float(blk["mass"], path + ".mass", positive=True),
+            charge=_as_float(blk["charge"], path + ".charge"),
+            density=_as_float(
+                blk.get("density", 1.0), path + ".density", positive=True
+            ),
+            temperature=_as_float(
+                blk.get("temperature", 1.0), path + ".temperature", positive=True
+            ),
+            drift=(
+                _as_float(drift[0], path + ".drift[0]"),
+                _as_float(drift[1], path + ".drift[1]"),
+            ),
+        ))
     return tuple(out)
 
 

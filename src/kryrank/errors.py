@@ -29,8 +29,8 @@ class SolveFailure(KryrankError):
     """An iterative solve inside a step missed its tolerance.
 
     ``history`` holds the residual per iteration; the callers that know them
-    add the step, the step-end time ``t``, ``lambda``, the grid size ``n`` or
-    ``species`` to ``where``.
+    add the step, the step-end time ``t``, ``lambda``, the grid size ``n``,
+    the 0-based ``stage`` or ``species`` to ``where``.
     """
 
     def __init__(self, message, history=None):

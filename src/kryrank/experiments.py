@@ -73,7 +73,8 @@ def _advance(step_fn, state, steps, dt, where):
 
     ``step_fn(state)`` returns (state, diag); t = (step + 1) * dt is the time
     the step ends at.  A SolveFailure leaves with ``where`` naming the step
-    and t, then the caller's keys, then the failure's own (stage, species).
+    and t, then the caller's keys, then the failure's own 0-based stage and
+    species, where it has them.
     """
     for step in range(steps):
         t = (step + 1) * dt

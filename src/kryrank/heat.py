@@ -32,8 +32,7 @@ def build_heat_operator(n, d, dx):
         np.full(n, -2.0 * k),
         np.full(n - 1, k),
         np.full(n - 1, k),
-        corner_upper=k,
-        corner_lower=k,
+        circulant=True,
     )
 
 

@@ -260,13 +260,15 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
         if not grew:
             saturated = True
             break
-    raise MaxIterationsExceeded(
+    exc = MaxIterationsExceeded(
         "stage residual %.3e above tolerance after %d growth rounds%s"
         % (history[-1], len(history) - 1, " (basis saturated)" if saturated else ""),
         best=best,
         history=history,
         saturated=saturated,
     )
+    exc.where["stage"] = rejects[-1]
+    raise exc
 
 
 def solve_adaptive(a1, a2, b, eps_tol, max_iter=50):

@@ -340,7 +340,11 @@ def moment_step(states, species, table, dt):
         r = y0.copy()
         for l in range(k):
             r += dt * table.a[k, l] * fs[l]
-        fs.append(_moment_stage_solve(r, float(table.a[k, k]), dt, arrs, scale))
+        try:
+            fs.append(_moment_stage_solve(r, float(table.a[k, k]), dt, arrs, scale))
+        except NewtonDivergence as exc:
+            exc.where["stage"] = k
+            raise
     y1 = y0.copy()
     for k, fk in enumerate(fs):
         y1 += dt * table.b[k] * fk
@@ -450,7 +454,6 @@ class LbfpSystem:
     dvs: list
     factors: list
     states: list
-    time: float = 0.0
 
 
 def initialize_system(species, n_points, halfwidth=10.0):
@@ -505,7 +508,6 @@ def lbfp_step(system, table, dt, tol_constant, eps_rel=1e-8):
             system.dvs,
             new_factors,
             new_states,
-            system.time + dt,
         ),
         diags,
     )

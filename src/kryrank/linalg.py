@@ -1,18 +1,15 @@
 """Dense and banded kernels: tridiagonal solves, block Gram-Schmidt QR, SVD, Sylvester.
 
-Periodic corners mean circulant: a tridiagonal operator with a nonzero
-corner must have a constant diagonal and constant off-diagonals continued by
-the corners, n >= 3 (heat's generator and its stage operators), and any other
-periodic operator is rejected at construction with DimensionMismatch.  A
-circulant's eigenvalues are the real DFT of its first column
-(``circulant_spectrum``, which heat's exact reference also uses); it is solved
-by one elementwise division between ``rfft`` and ``irfft``, with relative
-residual ~1e-14, against ~5e-15 for Thomas, on a heat stage operator at n=512.  A
-corner-free operator (lbfp's) is solved by Thomas elimination without
-pivoting (the operators fed to it are diagonally dominant), run with
-Python-float coefficients on row views updated in place, to cut per-row
-overhead.  The DFT path raises SingularOperator on a relative test, so a
-periodic Laplacian's null mode fails loudly at every n.
+A circulant tridiagonal operator (heat's generator and its stage operators)
+has constant bands that wrap around; its eigenvalues are the real DFT of its
+first column (``circulant_spectrum``, which heat's exact reference also
+uses), and it is solved by one elementwise division between ``rfft`` and
+``irfft``, with relative residual ~1e-14, against ~5e-15 for Thomas, on a
+heat stage operator at n=512.  Any other operator (lbfp's) is solved by
+Thomas elimination without pivoting (the operators fed to it are diagonally
+dominant), run with Python-float coefficients on row views updated in
+place, to cut per-row overhead.  The DFT path raises SingularOperator on a
+relative test, so a periodic Laplacian's null mode fails loudly at every n.
 Factorizations are built lazily and cached on the operator, which is treated
 as immutable after construction; ``scaled_shifted`` keeps its last result, so
 a stage operator rebuilt each step is factorized once.
@@ -52,37 +49,27 @@ _MGS_DROP = 1e-12
 _OVERLAP_RTOL = 1e-6
 
 
-def _as_matrix(b):
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        return b[:, None], True
-    if b.ndim != 2:
-        raise DimensionMismatch("right-hand side must be 1-D or 2-D, got ndim=%d" % b.ndim)
-    return b, False
-
-
 class TridiagonalOperator:
-    """Tridiagonal matrix, optionally circulant through periodic corner entries.
+    """Tridiagonal matrix, circulant when its bands wrap around.
 
     Parameters
     ----------
     diag : (n,) array_like
     lower, upper : (n-1,) array_like
         Sub- and super-diagonal.
-    corner_upper, corner_lower : float, optional
-        Entries at positions (0, n-1) and (n-1, 0) for periodic wrap.
+    circulant : bool, optional
+        Wrap the bands: entry (0, n-1) is ``lower[0]`` and entry (n-1, 0)
+        is ``upper[0]``.  It requires n >= 3 and a constant ``diag``,
+        ``lower`` and ``upper``, exactly; anything else raises
+        DimensionMismatch.
 
-    ``symmetric`` is fixed at construction: true when ``lower`` equals
-    ``upper`` and the two corners are equal, exactly.  So is ``circulant``:
-    true when a corner is nonzero.  Corners mean circulant: a nonzero corner
-    requires n >= 3, a constant ``diag``, every ``lower`` entry equal to
-    ``corner_upper`` and every ``upper`` entry equal to ``corner_lower``,
-    exactly, and any other periodic operator raises DimensionMismatch.  A
-    circulant operator is solved through the real DFT, a corner-free one by
-    Thomas elimination.
+    ``symmetric`` and ``circulant`` are fixed at construction; ``symmetric``
+    is true when ``lower`` equals ``upper``, exactly.  A circulant operator
+    is solved through the real DFT, any other by Thomas elimination.
+    ``apply`` and ``solve`` take an n-row 2-D block.
     """
 
-    def __init__(self, diag, lower, upper, corner_upper=0.0, corner_lower=0.0):
+    def __init__(self, diag, lower, upper, circulant=False):
         self.diag = np.array(diag, dtype=float)
         self.lower = np.array(lower, dtype=float)
         self.upper = np.array(upper, dtype=float)
@@ -94,28 +81,21 @@ class TridiagonalOperator:
                 "off-diagonals must have length n-1=%d, got %d/%d"
                 % (n - 1, self.lower.shape[0], self.upper.shape[0])
             )
-        self.corner_upper = float(corner_upper)
-        self.corner_lower = float(corner_lower)
         for arr in (self.diag, self.lower, self.upper):
             if not np.all(np.isfinite(arr)):
                 raise DimensionMismatch("operator entries must be finite")
-        if not (np.isfinite(self.corner_upper) and np.isfinite(self.corner_lower)):
-            raise DimensionMismatch("corner entries must be finite")
-        self._symmetric = bool(
-            np.array_equal(self.lower, self.upper)
-            and self.corner_upper == self.corner_lower
-        )
-        # corner-free operators (lbfp's) skip the O(n) checks
-        self._circulant = bool(self.corner_upper or self.corner_lower)
+        self._symmetric = bool(np.array_equal(self.lower, self.upper))
+        self._circulant = bool(circulant)
+        # non-circulant operators (lbfp's) skip the O(n) checks
         if self._circulant and not (
             n >= 3
             and np.all(self.diag == self.diag[0])
-            and np.all(self.lower == self.corner_upper)
-            and np.all(self.upper == self.corner_lower)
+            and np.all(self.lower == self.lower[0])
+            and np.all(self.upper == self.upper[0])
         ):
             raise DimensionMismatch(
-                "periodic corners need a circulant operator: n >= 3, a constant "
-                "diagonal and off-diagonals equal to the corners that wrap them"
+                "a circulant operator needs n >= 3 and a constant diagonal, "
+                "lower and upper band"
             )
         self._fact = None
         self._shifted = None
@@ -132,36 +112,35 @@ class TridiagonalOperator:
     def n(self):
         return self.diag.shape[0]
 
-    @property
-    def shape(self):
-        return (self.n, self.n)
+    def _operand(self, x, what):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[0] != self.n:
+            msg = "%s: operand must be a 2-D block of %d rows, got shape %s"
+            raise DimensionMismatch(msg % (what, self.n, x.shape))
+        return x
 
     def apply(self, x):
-        """Matrix-vector / matrix-matrix product A @ x, in the layout of x.
+        """The product A @ x of an n-row block x, in the layout of x.
 
         Each band scales a row of x.T, which is contiguous for a
         column-major block; the product is elementwise, so every layout of x
         gets the same bits.
         """
-        xm, was_vec = _as_matrix(x)
-        if xm.shape[0] != self.n:
-            raise DimensionMismatch("apply: operand has %d rows, operator is %d" % (xm.shape[0], self.n))
-        xt = xm.T
+        xt = self._operand(x, "apply").T
         yt = self.diag * xt
         yt[:, 1:] += self.lower * xt[:, :-1]
         yt[:, :-1] += self.upper * xt[:, 1:]
-        if self.corner_upper:
-            yt[:, 0] += self.corner_upper * xt[:, -1]
-        if self.corner_lower:
-            yt[:, -1] += self.corner_lower * xt[:, 0]
-        return yt[0] if was_vec else yt.T
+        if self._circulant:
+            yt[:, 0] += self.lower[0] * xt[:, -1]
+            yt[:, -1] += self.upper[0] * xt[:, 0]
+        return yt.T
 
     def dense(self):
         a = np.diag(self.diag)
         a += np.diag(self.lower, -1)
         a += np.diag(self.upper, 1)
-        a[0, -1] += self.corner_upper
-        a[-1, 0] += self.corner_lower
+        if self._circulant:
+            a[0, -1], a[-1, 0] = self.lower[0], self.upper[0]
         return a
 
     def scaled_shifted(self, shift, scale):
@@ -171,17 +150,16 @@ class TridiagonalOperator:
                 shift + scale * self.diag,
                 scale * self.lower,
                 scale * self.upper,
-                corner_upper=scale * self.corner_upper,
-                corner_lower=scale * self.corner_lower,
+                circulant=self._circulant,
             ))
         return self._shifted[1]
 
     def circulant_spectrum(self):
         """The eigenvalues w = rfft(first column) of a circulant: A x = irfft(w * rfft(x))."""
         if not self._circulant:
-            raise DimensionMismatch("operator is not circulant: it has no periodic corners")
+            raise DimensionMismatch("operator is not circulant: its bands do not wrap")
         col = np.zeros(self.n)
-        col[[0, 1, -1]] = self.diag[0], self.lower[0], self.corner_lower
+        col[[0, 1, -1]] = self.diag[0], self.lower[0], self.upper[0]
         return np.fft.rfft(col)
 
     def _factorize(self):
@@ -227,18 +205,14 @@ class TridiagonalOperator:
         return y
 
     def solve(self, b):
-        """Solve A x = b; b may hold multiple right-hand sides as columns."""
-        bm, was_vec = _as_matrix(b)
-        if bm.shape[0] != self.n:
-            raise DimensionMismatch("solve: rhs has %d rows, operator is %d" % (bm.shape[0], self.n))
+        """Solve A x = b for an n-row block b of right-hand sides."""
+        b = self._operand(b, "solve")
         if self._fact is None:
             self._factorize()
         if self._circulant:
             eig = self._fact["eig"]
-            x = np.fft.irfft(np.fft.rfft(bm, axis=0) / eig[:, None], self.n, axis=0)
-        else:
-            x = self._tri_solve(bm)
-        return x[:, 0] if was_vec else x
+            return np.fft.irfft(np.fft.rfft(b, axis=0) / eig[:, None], self.n, axis=0)
+        return self._tri_solve(b)
 
 
 def _times(a, x):

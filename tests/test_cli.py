@@ -311,15 +311,16 @@ class TestRunHeat:
         assert re.search(r"best basis ranks: u=\d+ v=\d+", err)
         assert "\n  basis saturated: yes\n" in err
         # and say where it failed: the first step of the first lambda
-        assert re.search(r"\n  at step=0, t=\S+, lambda=50(\.0)?\n", err)
+        assert re.search(r"\n  at step=0, t=\S+, lambda=50(\.0)?, stage=0\n", err)
 
     def test_failed_step_location_on_exception(self, tmp_path):
         cfg = load_config(heat_cfg(tmp_path, integrator="be", extra="tolerances: 1e-25\n"))
         with pytest.raises(MaxIterationsExceeded) as info:
             run_heat_convergence(cfg, tmp_path / "out")
         exc = info.value
-        assert list(exc.where) == ["step", "t", "lambda"]
+        assert list(exc.where) == ["step", "t", "lambda", "stage"]
         assert exc.where["step"] == 0 and exc.where["lambda"] == 50
+        assert exc.where["stage"] == 0
         assert exc.where["t"] == pytest.approx(50 / 32**2)
         assert exc.best is not None and len(exc.history) >= 2
         assert exc.saturated is True
@@ -354,7 +355,7 @@ class TestRunLbfp:
         err = capsys.readouterr().err
         assert rc == 1
         assert "MaxIterationsExceeded" in err
-        assert re.search(r"\n  at step=0, t=0\.1, species=ion\n", err)
+        assert re.search(r"\n  at step=0, t=0\.1, stage=0, species=ion\n", err)
         assert re.search(r"best basis ranks: u=\d+ v=\d+", err)
 
     @pytest.mark.parametrize("n", [8, 32])
@@ -365,7 +366,7 @@ class TestRunLbfp:
         cfg = load_config(write_cfg(tmp_path, text))
         with pytest.raises(NewtonDivergence) as info:
             run_lbfp_relax(cfg, tmp_path / "out")
-        assert info.value.where == {"step": 0, "t": 1e9}
+        assert info.value.where == {"step": 0, "t": 1e9, "stage": 0}
         assert info.value.history
 
     def test_second_step_failure_location(self, tmp_path, monkeypatch):
@@ -434,7 +435,7 @@ class TestComplexitySweep:
         err = capsys.readouterr().err
         assert rc == 1
         assert "MaxIterationsExceeded" in err
-        assert re.search(r"\n  at step=0, t=0\.1, n=16, species=ion\n", err)
+        assert re.search(r"\n  at step=0, t=0\.1, n=16, stage=0, species=ion\n", err)
 
     def test_dense_failure_names_step_and_grid(self, tmp_path, capsys, monkeypatch):
         def diverge(*args):

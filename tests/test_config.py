@@ -165,7 +165,7 @@ class TestRejections:
         rejected(heat_doc(pipeline="sparse"), "pipeline")
         rejected(heat_doc(diffusion=[0.5]), "diffusion")
         rejected(heat_doc(diffusion=[0.5, -0.1]), "diffusion[1]")
-        # a zero diffusivity builds a corner-free, hence non-circulant, operator
+        # a zero diffusivity would build the zero, singular, generator
         rejected(heat_doc(diffusion=[0.5, 0.0]), "diffusion[1]")
         rejected(heat_doc(diffusion=[-0.0, 0.5]), "diffusion[0]")
 

@@ -79,7 +79,7 @@ class TestHeatOperator:
 
     @pytest.mark.parametrize("dcoef", [0.0, -0.0, -0.5, float("nan")])
     def test_non_positive_diffusivity_rejected(self, dcoef):
-        # d = 0 would build a corner-free operator that no circulant solve accepts
+        # d = 0 would build the zero generator, which the circulant solve rejects as singular
         with pytest.raises(NonPositiveDiffusion, match="must be > 0"):
             build_heat_operator(16, dcoef, 1.0 / 16)
 

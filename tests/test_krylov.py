@@ -794,6 +794,25 @@ class TestSolveAdaptive:
         assert info.value.best is not None
         assert info.value.saturated is False
 
+    def test_failure_names_the_rejected_stage(self, monkeypatch):
+        # stage 0 always passes and stage 1 never does, so every round rejects stage 1
+        from kryrank.dirk import get_table
+
+        calls = []
+
+        def residual_norm(system, core):
+            calls.append(core)
+            return 0.0 if len(calls) % 2 else 1.0
+
+        monkeypatch.setattr(krylov, "residual_norm", residual_norm)
+        rng = np.random.default_rng(39)
+        a1, a2 = random_dd_tridiag(rng, 16), random_dd_tridiag(rng, 16)
+        b = random_rhs(rng, 16, 16, 2)
+        with pytest.raises(MaxIterationsExceeded) as info:
+            krylov.adaptive_stage_solve((a1, a2), b, 1e-3, get_table("dirk2").a, max_iter=1)
+        assert info.value.where == {"stage": 1}
+        assert len(calls) == 4
+
     @pytest.mark.parametrize("kind", ["heat", "chang-cooper"])
     def test_rounding_level_tolerance_saturates(self, kind):
         (a1, a2), b = stage_pair(kind, 16)

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kryrank import lbfp
 from kryrank.dirk import StepDiagnostics, get_table
 from kryrank.errors import (
     DimensionMismatch,
@@ -615,6 +616,22 @@ class TestMomentDirk:
         with pytest.raises(NewtonDivergence) as info:
             moment_step(fast_pair_states(), OJE_PAIR, get_table("be"), 1e6)
         assert info.value.history
+        assert info.value.where == {"stage": 0}
+
+    def test_newton_divergence_names_the_stage(self, monkeypatch):
+        real = lbfp._moment_stage_solve
+        calls = []
+
+        def stage_solve(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NewtonDivergence("second stage fails", [1.0])
+            return real(*args)
+
+        monkeypatch.setattr(lbfp, "_moment_stage_solve", stage_solve)
+        with pytest.raises(NewtonDivergence) as info:
+            moment_step(fast_pair_states(), OJE_PAIR, get_table("dirk2"), 0.1)
+        assert info.value.where == {"stage": 1}
 
 
 class TestChangCooperDelta:
@@ -1014,4 +1031,3 @@ class TestLbfpStep:
             assert d.rank >= 1
             assert d.krylov_iterations >= 0
             assert d.late_stage_restarts <= 2
-        assert abs(cur.time - 0.1) <= 1e-15

@@ -62,29 +62,24 @@ def random_dd_tridiag(rng, n):
 
 
 def random_circulant(rng, n, symmetric):
-    """Diagonally dominant circulant tridiagonal: constant bands wrapped by the corners."""
+    """Diagonally dominant circulant tridiagonal: constant bands that wrap around."""
     lo = rng.uniform(-1.0, 1.0)
     up = lo if symmetric else rng.uniform(-1.0, 1.0)
     return TridiagonalOperator(
         np.full(n, 3.0 + rng.uniform(0.0, 1.0)),
         np.full(n - 1, lo),
         np.full(n - 1, up),
-        corner_upper=lo,
-        corner_lower=up,
+        circulant=True,
     )
 
 
 def variable_periodic_laplacian(rng, n):
     """A[i, j] = L[i, j] * kappa_j for the periodic Laplacian L: zero column sums."""
     kappa = rng.uniform(0.5, 1.5, n) * n * n
-    return TridiagonalOperator(
-        -2.0 * kappa, kappa[:-1], kappa[1:], corner_upper=kappa[-1], corner_lower=kappa[0]
-    )
+    return TridiagonalOperator(-2.0 * kappa, kappa[:-1], kappa[1:], circulant=True)
 
 
 def as_layout(rng, n, k, layout):
-    if layout == "1-D":
-        return rng.standard_normal(n)
     return np.asarray(rng.standard_normal((n, k)), order=layout)
 
 
@@ -96,13 +91,13 @@ def indexed_thomas_solve(op, b):
     """
     fact = op._fact
     piv, mult, upper = fact["piv"], fact["mult"], op.upper
-    y = (b[:, None] if b.ndim == 1 else b).copy()
+    y = b.copy()
     for i in range(op.n - 1):
         y[i + 1] -= mult[i] * y[i]
     y[-1] /= piv[-1]
     for i in range(op.n - 2, -1, -1):
         y[i] = (y[i] - upper[i] * y[i + 1]) / piv[i]
-    return y[:, 0] if b.ndim == 1 else y
+    return y
 
 
 def per_column_apply(op, x):
@@ -110,10 +105,9 @@ def per_column_apply(op, x):
     y = op.diag * x
     y[1:] += op.lower * x[:-1]
     y[:-1] += op.upper * x[1:]
-    if op.corner_upper:
-        y[0] += op.corner_upper * x[-1]
-    if op.corner_lower:
-        y[-1] += op.corner_lower * x[0]
+    if op.circulant:
+        y[0] += op.lower[0] * x[-1]
+        y[-1] += op.upper[0] * x[0]
     return y
 
 
@@ -121,7 +115,7 @@ def per_column_apply(op, x):
 thomas_cases = st.tuples(
     st.integers(2, 64),
     st.integers(1, 8),
-    st.sampled_from(["1-D", "C", "F"]),
+    st.sampled_from(["C", "F"]),
     st.integers(0, 2**32 - 1),
 )
 
@@ -130,7 +124,7 @@ circulant_cases = st.tuples(
     st.one_of(st.integers(3, 64), st.just(512)),
     st.integers(1, 8),
     st.booleans(),
-    st.sampled_from(["1-D", "C", "F"]),
+    st.sampled_from(["C", "F"]),
     st.integers(0, 2**32 - 1),
 )
 
@@ -169,8 +163,8 @@ class TestTridiagonalOperator:
                 assert got.flags.f_contiguous, name
         for j in (0, k - 1):
             assert np.array_equal(op.apply(x[:, j : j + 1]), want[:, j : j + 1])
-            assert np.array_equal(op.apply(np.array(x[:, j])), want[:, j])
-            assert op.apply(x[:, j]).shape == (n,)
+            with pytest.raises(DimensionMismatch):
+                op.apply(x[:, j])
 
     def test_identity_solve(self):
         op = TridiagonalOperator(np.ones(6), np.zeros(5), np.zeros(5))
@@ -191,7 +185,7 @@ class TestTridiagonalOperator:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_solve_apply_roundtrip_randomized(self):
-        # spec invariant: 256 diagonally dominant corner-free trials
+        # spec invariant: 256 diagonally dominant non-circulant trials
         rng = np.random.default_rng(7)
         for trial in range(256):
             n = int(rng.integers(3, 48))
@@ -244,10 +238,7 @@ class TestTridiagonalOperator:
         n, k, layout, seed = case
         rng = np.random.default_rng(seed)
         op = random_dd_tridiag(rng, n)
-        if layout == "1-D":
-            b = rng.standard_normal(n)
-        else:
-            b = np.asarray(rng.standard_normal((n, k)), order=layout)
+        b = as_layout(rng, n, k, layout)
         got = op.solve(b)
         want = indexed_thomas_solve(op, b)
         assert got.shape == b.shape
@@ -277,25 +268,26 @@ class TestTridiagonalOperator:
         # the identity keeps Thomas, so its solve stays exact
         assert not TridiagonalOperator(np.ones(6), np.zeros(5), np.zeros(5)).circulant
 
-        # corners mean circulant: any other periodic operator fails at construction
+        # only constant bands wrap: any other periodic operator fails at construction
         nudged = heat.diag.copy()
         nudged[5] = np.nextafter(nudged[5], 0.0)
-        bands = heat.lower.copy()
-        bands[3] *= 1.0 + 1e-14
+        nudged_lower = heat.lower.copy()
+        nudged_lower[3] *= 1.0 + 1e-14
+        nudged_upper = heat.upper.copy()
+        nudged_upper[-1] = np.nextafter(nudged_upper[-1], 0.0)
         cases = [
-            (nudged, heat.lower, heat.upper, heat.corner_upper, heat.corner_lower),
-            (heat.diag, bands, heat.upper, heat.corner_upper, heat.corner_lower),
-            (heat.diag, heat.lower, heat.upper, heat.corner_upper, 0.0),
-            (heat.diag, heat.lower, heat.upper, 2.0 * heat.corner_upper, heat.corner_lower),
-            # variable coefficients with wrap entries
+            (nudged, heat.lower, heat.upper),
+            (heat.diag, nudged_lower, heat.upper),
+            (heat.diag, heat.lower, nudged_upper),
+            # variable coefficients
             (3.0 + rng.uniform(0.0, 1.0, 16), rng.uniform(-1.0, 1.0, 15),
-             rng.uniform(-1.0, 1.0, 15), 0.3, -0.2),
-            # n = 2: the corners overlap the off-diagonals
-            (np.ones(2), [0.1], [0.1], 0.1, 0.1),
+             rng.uniform(-1.0, 1.0, 15)),
+            # n = 2: the wrap entries would overlap the off-diagonals
+            (np.ones(2), [0.1], [0.1]),
         ]
-        for diag, lower, upper, cu, cl in cases:
+        for diag, lower, upper in cases:
             with pytest.raises(DimensionMismatch, match="circulant"):
-                TridiagonalOperator(diag, lower, upper, corner_upper=cu, corner_lower=cl)
+                TridiagonalOperator(diag, lower, upper, circulant=True)
 
     def test_circulant_solves_match_dense_oracle(self):
         rng = np.random.default_rng(13)
@@ -305,7 +297,7 @@ class TestTridiagonalOperator:
                    build_heat_operator(n, 0.5, 1.0 / n).scaled_shifted(0.5, -1e-3)]
             for op in ops:
                 assert op.circulant
-                for layout in ("1-D", "C", "F"):
+                for layout in ("C", "F"):
                     b = as_layout(rng, n, 3, layout)
                     got = op.solve(b)
                     want = dense_solve_oracle(op, b)
@@ -350,7 +342,7 @@ class TestTridiagonalOperator:
         heat = build_heat_operator(n, 0.5, 1.0 / n)
         assert heat.circulant
         with pytest.raises(SingularOperator):
-            heat.solve(np.ones(n))
+            heat.solve(np.ones((n, 1)))
         # a variable-coefficient periodic Laplacian is not circulant
         with pytest.raises(DimensionMismatch):
             variable_periodic_laplacian(np.random.default_rng(n), n)
@@ -359,6 +351,19 @@ class TestTridiagonalOperator:
         op = TridiagonalOperator(np.ones(4), np.zeros(3), np.zeros(3))
         with pytest.raises(DimensionMismatch):
             op.solve(np.ones((5, 1)))
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_operands_are_n_row_blocks(self, periodic):
+        rng = np.random.default_rng(15)
+        op = random_circulant(rng, 6, False) if periodic else random_dd_tridiag(rng, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for operand in (np.ones(6), np.ones((6, 2, 1))):
+                for method in (op.apply, op.solve):
+                    with pytest.raises(DimensionMismatch, match="2-D"):
+                        method(operand)
+            # an integer block is converted, as a float one is
+            assert np.array_equal(op.apply(np.eye(6, dtype=int)), op.dense())
 
 
 class TestMgsQr:

@@ -87,7 +87,7 @@ def advection_diffusion_operator(n, dcoef, vel):
     up = dcoef / dx**2 - vel / (2.0 * dx)
     return TridiagonalOperator(
         np.full(n, -2.0 * dcoef / dx**2), np.full(n - 1, lo), np.full(n - 1, up),
-        corner_upper=lo, corner_lower=up,
+        circulant=True,
     )
 
 
