@@ -152,7 +152,7 @@ def _self_check(seed):
     ):
         for q in (f.u, f.v):
             loss = max(loss, float(np.linalg.norm(q.T @ q - np.eye(f.rank), 2)))
-        got = kinetic_moments(f, grid, grid, dv).as_vector()
+        got = kinetic_moments(f, grid, dv).as_vector()
         # fluxes of counter-streaming humps are near 0: scale them by n vth
         flux = st.n * np.sqrt(st.temperature(sp.mass) / sp.mass)
         scale = np.array([st.n, flux, flux, 2.0 * st.energy])

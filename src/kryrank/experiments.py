@@ -10,6 +10,7 @@ import functools
 import math
 import statistics
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +181,7 @@ def run_heat_convergence(cfg, out_dir):
 
 def _kinetic_states(system):
     return [
-        kinetic_moments(f, g, g, dv)
+        kinetic_moments(f, g, dv)
         for f, g, dv in zip(system.factors, system.grids, system.dvs)
     ]
 
@@ -290,22 +291,20 @@ def run_complexity(cfg, out_dir):
     for n in cfg.n:
         system0 = initialize_system(cfg.species, n, cfg.halfwidth)
         if cfg.pipeline == "adaptive":
-            state0 = system0
 
-            def advance(state):
+            def advance(system):
                 return lbfp_step(
-                    state, table, dt, cfg.tolerance_constant, eps_rel=cfg.eps_rel
+                    system, table, dt, cfg.tolerance_constant, eps_rel=cfg.eps_rel
                 )
         else:
-            state0 = (system0.states, [f.materialize() for f in system0.factors])
+            system0 = replace(system0, factors=[f.materialize() for f in system0.factors])
 
-            def advance(state, _sys=system0):
-                args = (_sys.species, _sys.grids, _sys.dvs, table, dt)
-                return dense_lbfp_step(*state, *args), None
+            def advance(system):
+                return dense_lbfp_step(system, table, dt), None
         samples = []
         for _rep in range(cfg.timing_reps):
             t0 = time.perf_counter()
-            for _ in _advance(advance, state0, steps, dt, {"n": n}):
+            for _ in _advance(advance, system0, steps, dt, {"n": n}):
                 pass
             samples.append(time.perf_counter() - t0)
         rows.append((n, statistics.median(samples)))

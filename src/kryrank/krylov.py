@@ -150,8 +150,8 @@ def residual_norm(system, s1):
 
 def lte_tolerance(c, dt, order):
     """Residual tolerance matched to the local truncation error, C * dt^(p+1)."""
-    if c < 0 or dt <= 0:
-        raise DimensionMismatch("need C >= 0 and dt > 0")
+    if not (0 <= c < math.inf and 0 < dt < math.inf):
+        raise DimensionMismatch("need finite C >= 0 and dt > 0, got C=%g, dt=%g" % (c, dt))
     if order < 1:
         raise DimensionMismatch("order must be >= 1")
     return float(c * dt ** (order + 1))

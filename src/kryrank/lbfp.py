@@ -12,7 +12,7 @@ state and gives exactly zero column sums (discrete mass conservation).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,25 +85,25 @@ def velocity_grid(n, vmax):
         raise DimensionMismatch(
             "velocity grid needs at least %d cells, got %d" % (MIN_VELOCITY_CELLS, n)
         )
+    if not 0 < vmax < math.inf:
+        raise DimensionMismatch("velocity grid halfwidth must be positive and finite: %g" % vmax)
     dv = 2.0 * vmax / n
     return -vmax + (np.arange(n) + 0.5) * dv, dv
 
 
-def maxwellian_factors(grid1, grid2, density, u, vth2):
-    """Rank-1 factors of density/(2 pi vth2) * exp(-|v-u|^2/(2 vth2))."""
-    g1 = np.exp(-((grid1 - u[0]) ** 2) / (2.0 * vth2))
-    g2 = np.exp(-((grid2 - u[1]) ** 2) / (2.0 * vth2))
+def maxwellian_factors(grid, density, u, vth2):
+    """Rank-1 factors of density/(2 pi vth2) * exp(-|v-u|^2/(2 vth2)) on a square grid."""
+    g1 = np.exp(-((grid - u[0]) ** 2) / (2.0 * vth2))
+    g2 = np.exp(-((grid - u[1]) ** 2) / (2.0 * vth2))
     core = np.array([[density / (2.0 * math.pi * vth2)]])
     return LowRankFactors(g1[:, None], core, g2[:, None])
 
 
-def bi_maxwellian_factors(grid1, grid2, sp):
+def bi_maxwellian_factors(grid, sp):
     """Counter-streaming initial condition of ``sp`` with orthonormal factors."""
     vth2 = sp.temperature / sp.mass
-    plus = maxwellian_factors(grid1, grid2, 0.5 * sp.density, sp.drift, vth2)
-    minus = maxwellian_factors(
-        grid1, grid2, 0.5 * sp.density, (-sp.drift[0], -sp.drift[1]), vth2
-    )
+    plus = maxwellian_factors(grid, 0.5 * sp.density, sp.drift, vth2)
+    minus = maxwellian_factors(grid, 0.5 * sp.density, (-sp.drift[0], -sp.drift[1]), vth2)
     return truncate(lr_add(plus, minus), 0.0)
 
 
@@ -134,9 +134,9 @@ class MomentState:
         return np.array([self.n, self.gam1, self.gam2, 2.0 * self.energy])
 
 
-def kinetic_moments(f, grid1, grid2, dv):
+def kinetic_moments(f, grid, dv):
     """MomentState of F by the functionals ``lomac_project`` pins: energy is |v|^2 / 2."""
-    n, g1, g2, v2 = lr_moments(f, *_moment_functionals(grid1, grid2, dv)).tolist()
+    n, g1, g2, v2 = lr_moments(f, *_moment_functionals(grid, dv)).tolist()
     return MomentState(n, g1, g2, 0.5 * v2)
 
 
@@ -420,13 +420,14 @@ _MOMENT_MODES[2, 0, 1] = 1.0
 _MOMENT_MODES[3, 2, 0] = _MOMENT_MODES[3, 0, 2] = 1.0
 
 
-def _moment_functionals(grid1, grid2, dv):
+def _moment_functionals(grid, dv):
     """(rows_u, rows_v, modes) of the moments (n, gam1, gam2, |v|^2) for ``lr_moments``.
 
-    Midpoint quadrature with cell area dv^2: the rows are (1, v, v^2) dv on
-    each side and the modes pick 1x1, v1x1, 1xv2 and v1^2x1 + 1xv2^2.
+    Midpoint quadrature with cell area dv^2: one set of (1, v, v^2) dv rows
+    serves both sides; the modes pick 1x1, v1x1, 1xv2 and v1^2x1 + 1xv2^2.
     """
-    return _power_rows(grid1, dv), _power_rows(grid2, dv), _MOMENT_MODES
+    rows = _power_rows(grid, dv)
+    return rows, rows, _MOMENT_MODES
 
 
 def lomac_project(f, target, mass, grid, dv, eps):
@@ -441,13 +442,17 @@ def lomac_project(f, target, mass, grid, dv, eps):
     vth2 = target.temperature(mass) / mass
     weighted = _power_rows(grid, np.exp(-(grid**2) / (2.0 * vth2))).T
     return conservative_truncate(
-        f, weighted, weighted, *_moment_functionals(grid, grid, dv), target.as_vector(), eps
+        f, weighted, weighted, *_moment_functionals(grid, dv), target.as_vector(), eps
     )
 
 
 @dataclass
 class LbfpSystem:
-    """Species set with per-species grids, low-rank states, and moment states."""
+    """Species set with per-species grids, distribution functions, and moment states.
+
+    ``factors`` holds LowRankFactors for ``lbfp_step`` and dense arrays for
+    ``reference.dense_lbfp_step``; each step returns the same kind it took.
+    """
 
     species: list
     grids: list
@@ -461,53 +466,52 @@ def initialize_system(species, n_points, halfwidth=10.0):
     grids, dvs, factors, states = [], [], [], []
     for sp in species:
         grid, dv = velocity_grid(n_points, halfwidth * sp.thermal_speed)
-        f = bi_maxwellian_factors(grid, grid, sp)
+        f = bi_maxwellian_factors(grid, sp)
         grids.append(grid)
         dvs.append(dv)
         factors.append(f)
-        states.append(kinetic_moments(f, grid, grid, dv))
+        states.append(kinetic_moments(f, grid, dv))
     return LbfpSystem(list(species), grids, dvs, factors, states)
+
+
+def step_generators(system, table, dt):
+    """(step-end moment states, [(D1, D2) per species]): the front half of every lbfp step.
+
+    One DIRK step of the moment system, with the pair coefficients frozen at
+    its step-end moments, so all DIRK stages share one operator pair per
+    species.  ``lbfp_step`` and ``reference.dense_lbfp_step`` both read it.
+    """
+    new_states = moment_step(system.states, system.species, table, dt)
+    coeffs = collision_coefficients(new_states, system.species)
+    ops = [build_lbfp_operators(g, dv, c) for g, dv, c in zip(system.grids, system.dvs, coeffs)]
+    return new_states, ops
 
 
 def lbfp_step(system, table, dt, tol_constant, eps_rel=1e-8):
     """Advance the coupled system by one step of size dt.
 
-    Order of operations: implicit moment update; pair coefficients frozen at
-    the updated moments (all DIRK stages then share one operator pair per
-    species); low-rank DIRK step per species with the conservative truncation
-    pinning kinetic moments to the moment-system values.
+    Order of operations: ``step_generators``; low-rank DIRK step per species
+    with the conservative truncation pinning kinetic moments to the
+    moment-system values.
 
     Returns (new_system, per-species StepDiagnostics list).
     """
-    new_states = moment_step(system.states, system.species, table, dt)
-    coeffs = collision_coefficients(new_states, system.species)
+    new_states, ops = step_generators(system, table, dt)
     tol = lte_tolerance(tol_constant, dt, table.order)
     new_factors = []
     diags = []
-    for a, sp in enumerate(system.species):
-        grid, dv = system.grids[a], system.dvs[a]
-        ops = build_lbfp_operators(grid, dv, coeffs[a])
-        target = new_states[a]
+    for sp, f, grid, dv, pair, target in zip(
+        system.species, system.factors, system.grids, system.dvs, ops, new_states
+    ):
 
-        def post(raw, _t=target, _m=sp.mass, _g=grid, _dv=dv):
-            return lomac_project(raw, _t, _m, _g, _dv, eps_rel * spectral_scale(raw))
+        def post(raw):
+            return lomac_project(raw, target, sp.mass, grid, dv, eps_rel * spectral_scale(raw))
 
         try:
-            f_next, d = dirk_step(
-                system.factors[a], table, dt, ops, tol, post_process=post
-            )
+            f_next, d = dirk_step(f, table, dt, pair, tol, post_process=post)
         except SolveFailure as exc:
             exc.where["species"] = sp.name
             raise
         new_factors.append(f_next)
         diags.append(d)
-    return (
-        LbfpSystem(
-            system.species,
-            system.grids,
-            system.dvs,
-            new_factors,
-            new_states,
-        ),
-        diags,
-    )
+    return replace(system, factors=new_factors, states=new_states), diags

@@ -131,16 +131,16 @@ def conservative_truncate(f, range_u, range_v, rows_u, rows_v, modes, target, ep
     return LowRankFactors(_times(qu, w1), np.diag(sig), _times(qv, w2), orthonormal=True)
 
 
-def lr_add(f, g, alpha=1.0, beta=1.0):
-    """alpha*F + beta*G in factored form by block stacking; caller truncates."""
+def lr_add(f, g):
+    """F + G in factored form by block stacking; caller truncates."""
     if f.shape != g.shape:
         raise DimensionMismatch("lr_add: shapes %s and %s differ" % (f.shape, g.shape))
     u = _column_major_stack(f.u, g.u)
     v = _column_major_stack(f.v, g.v)
     rf, rg = f.rank, g.rank
     s = np.zeros((rf + rg, rf + rg))
-    s[:rf, :rf] = alpha * f.s
-    s[rf:, rf:] = beta * g.s
+    s[:rf, :rf] = f.s
+    s[rf:, rf:] = g.s
     return LowRankFactors(u, s, v, orthonormal=False)
 
 

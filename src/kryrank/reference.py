@@ -13,13 +13,14 @@ path only.
 """
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 
 from .dirk import assemble_stage_operator
 from .errors import DimensionMismatch, SpectralOverlap
 from .krylov import stage_sweep
-from .lbfp import build_lbfp_operators, collision_coefficients, moment_step
+from .lbfp import step_generators
 from .linalg import solve_sylvester_dense, sylvester_schur
 
 
@@ -84,33 +85,28 @@ def dense_dirk_step(f, table, solve):
     return yk
 
 
-def dense_lbfp_step(states, dense_fs, species, grids, dvs, table, dt):
+def dense_lbfp_step(system, table, dt):
     """Full-rank analogue of one coupled collision step (no truncation).
 
-    Each species' stage matrices I/2 - dt*a_kk*D are the dense forms of the
-    low-rank path's stage operators; their real Schur forms are computed
-    once per step and every stage back-solves with them.
+    ``system`` is an ``LbfpSystem`` whose factors are dense arrays, and so is
+    the result.  States and generators come from ``step_generators``, as in
+    ``lbfp_step``.  Each species' stage matrices I/2 - dt*a_kk*D are the
+    dense forms of the low-rank path's stage operators; their real Schur
+    forms are computed once per step and every stage back-solves with them.
     """
-    new_states = moment_step(states, species, table, dt)
-    coeffs = collision_coefficients(new_states, species)
+    new_states, ops = step_generators(system, table, dt)
     akk = table.a[0, 0]
     new_fs = []
-    for a in range(len(species)):
-        d1, d2 = build_lbfp_operators(grids[a], dvs[a], coeffs[a])
+    for f, (d1, d2) in zip(system.factors, ops):
         a1 = assemble_stage_operator(d1, dt, akk).dense()
         a2 = assemble_stage_operator(d2, dt, akk).dense()
         solve = functools.partial(
             solve_sylvester_dense, a1, a2, schur=sylvester_schur(a1, a2)
         )
-        new_fs.append(dense_dirk_step(dense_fs[a], table, solve))
-    return new_states, new_fs
+        new_fs.append(dense_dirk_step(f, table, solve))
+    return replace(system, factors=new_fs, states=new_states)
 
 
-def l1_distance(f, ref, cell_area, block=1024):
+def l1_distance(f, ref, cell_area):
     """Cell-sum L1 distance between low-rank factors and a dense array."""
-    us = f.u @ f.s
-    total = 0.0
-    for i0 in range(0, ref.shape[0], block):
-        chunk = us[i0 : i0 + block] @ f.v.T
-        total += float(np.abs(chunk - ref[i0 : i0 + block]).sum())
-    return cell_area * total
+    return cell_area * float(np.abs(f.materialize() - ref).sum())

@@ -268,7 +268,7 @@ def test_criterion_07_grid_maxwellian_fixed_points():
         st = MomentState(1.0, u[0], u[1], 0.5 * (u[0] ** 2 + u[1] ** 2) + t)
         pairs = collision_coefficients([st], [SpeciesConfig("s", 1.0, 1.0)])[0]
         a1, a2 = build_lbfp_operators(grid, dv, pairs)
-        f = maxwellian_factors(grid, grid, 1.0, tuple(u), t).materialize()
+        f = maxwellian_factors(grid, 1.0, tuple(u), t).materialize()
         res = a1.dense() @ f + f @ a2.dense().T
         anorm = max(np.linalg.norm(a1.dense()), np.linalg.norm(a2.dense()))
         worst = max(worst, np.linalg.norm(res) / (np.linalg.norm(f) * anorm))
@@ -391,13 +391,11 @@ def _property_moment_matching(rng):
     for _ in range(8):
         base = maxwellian_factors(
             grid,
-            grid,
             float(rng.uniform(0.5, 2.0)),
             tuple(rng.uniform(-1.0, 1.0, 2)),
             float(rng.uniform(0.7, 1.5)),
         )
         bump = maxwellian_factors(
-            grid,
             grid,
             float(rng.uniform(0.05, 0.3)),
             tuple(rng.uniform(-2.0, 2.0, 2)),
@@ -411,7 +409,7 @@ def _property_moment_matching(rng):
             n, n * u[0], n * u[1], 0.5 * n * (u[0] ** 2 + u[1] ** 2) + n * t
         )
         out = lomac_project(f, target, 1.0, grid, dv, 1e-8 * spectral_scale(f))
-        got = kinetic_moments(out, grid, grid, dv)
+        got = kinetic_moments(out, grid, dv)
         mscale = target.n * math.sqrt(target.temperature(1.0))
         gaps = (
             abs(got.n - target.n) / target.n,

@@ -5,6 +5,7 @@ Oracles: materialized dense residuals, dense triple products, Kronecker-sum
 solves, and projector norms on explicit bases.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -99,7 +100,7 @@ def stage_pair(kind, n):
     d1, d2 = build_lbfp_operators(grid, dv, [[1.0, 6.0, -5.0, 0.3]])
     ops = (assemble_stage_operator(d1, 0.1, akk), assemble_stage_operator(d2, 0.1, akk))
     sp = SpeciesConfig("s", mass=1.0, charge=1.0, drift=(2.0, -1.0))
-    return ops, bi_maxwellian_factors(grid, grid, sp)
+    return ops, bi_maxwellian_factors(grid, sp)
 
 
 def kron_band_solver(a1, a2):
@@ -148,6 +149,15 @@ class TestLteTolerance:
         assert abs(lte_tolerance(1.0, 0.1, 1) - 1e-2) <= 1e-16
         assert abs(lte_tolerance(1e-3, 0.1, 2) - 1e-6) <= 1e-20
         assert abs(lte_tolerance(1e-3, 0.5, 3) - 6.25e-5) <= 1e-18
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constant_or_step_rejected(self, bad):
+        # an infinite C would accept every stage at round 0; NaN would spend
+        # every growth round before failing
+        with pytest.raises(DimensionMismatch):
+            lte_tolerance(bad, 0.1, 1)
+        with pytest.raises(DimensionMismatch):
+            lte_tolerance(1.0, bad, 1)
 
 
 class TestBasisGrowth:

@@ -62,7 +62,7 @@ def dense_moments(mat, grid1, grid2, dv):
 
 def moment_vector(f, grid, dv):
     """(n, gam1, gam2, energy) of factors F on a square grid, by ``kinetic_moments``."""
-    st = kinetic_moments(f, grid, grid, dv)
+    st = kinetic_moments(f, grid, dv)
     return np.array([st.n, st.gam1, st.gam2, st.energy])
 
 
@@ -186,6 +186,15 @@ class TestSpeciesAndGrid:
         with pytest.raises(DimensionMismatch):
             velocity_grid(4, 1.0)
 
+    @pytest.mark.parametrize("vmax", [-10.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_velocity_grid_halfwidth_positive_finite(self, vmax):
+        # a negative halfwidth would step on a descending grid, and a zero or
+        # non-finite one would build zero-density moment states
+        with pytest.raises(DimensionMismatch):
+            velocity_grid(16, vmax)
+        with pytest.raises(DimensionMismatch):
+            initialize_system(benchmark_species(), 16, halfwidth=vmax)
+
     def test_species_validation(self):
         with pytest.raises(DimensionMismatch):
             SpeciesConfig("s", 0.0, 1.0)
@@ -233,8 +242,8 @@ class TestMomentState:
     def test_maxwellian_moments(self):
         # vmax = 11 keeps the truncated tail below 1e-13 of each moment
         grid, dv = velocity_grid(256, 11.0)
-        f = maxwellian_factors(grid, grid, 0.8, (0.7, -0.4), 1.3)
-        st = kinetic_moments(f, grid, grid, dv)
+        f = maxwellian_factors(grid, 0.8, (0.7, -0.4), 1.3)
+        st = kinetic_moments(f, grid, dv)
         assert abs(st.n - 0.8) <= 1e-12
         assert abs(st.velocity()[0] - 0.7) <= 1e-12
         assert abs(st.velocity()[1] + 0.4) <= 1e-12
@@ -243,9 +252,9 @@ class TestMomentState:
     def test_two_hump_initial_state(self):
         for sp in benchmark_species():
             grid, dv = velocity_grid(96, 10.0 * sp.thermal_speed)
-            f = bi_maxwellian_factors(grid, grid, sp)
+            f = bi_maxwellian_factors(grid, sp)
             assert f.rank == 2
-            st = kinetic_moments(f, grid, grid, dv)
+            st = kinetic_moments(f, grid, dv)
             tkin = sp.temperature + 0.5 * sp.mass * (
                 sp.drift[0] ** 2 + sp.drift[1] ** 2
             )
@@ -741,7 +750,7 @@ class TestLbfpOperators:
             st = state_at(1.0, tuple(u), t, 1.0)
             pairs = collision_coefficients([st], [SpeciesConfig("s", 1.0, 1.0)])[0]
             a1, a2 = build_lbfp_operators(grid, dv, pairs)
-            f = maxwellian_factors(grid, grid, 1.0, tuple(u), t).materialize()
+            f = maxwellian_factors(grid, 1.0, tuple(u), t).materialize()
             res = a1.dense() @ f + f @ a2.dense().T
             anorm = max(np.linalg.norm(a1.dense()), np.linalg.norm(a2.dense()))
             assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(f) * anorm
@@ -811,13 +820,11 @@ class TestLomacProject:
         for _ in range(32):
             base = maxwellian_factors(
                 grid,
-                grid,
                 float(rng.uniform(0.5, 2.0)),
                 tuple(rng.uniform(-1.0, 1.0, 2)),
                 float(rng.uniform(0.7, 1.5)),
             )
             bump = maxwellian_factors(
-                grid,
                 grid,
                 float(rng.uniform(0.05, 0.3)),
                 tuple(rng.uniform(-2.0, 2.0, 2)),
@@ -845,12 +852,12 @@ class TestLomacProject:
         grid, dv = velocity_grid(64, 8.0)
         f = truncate(
             lr_add(
-                maxwellian_factors(grid, grid, 1.0, (0.5, -0.3), 1.2),
-                maxwellian_factors(grid, grid, 0.4, (-1.0, 0.8), 0.7),
+                maxwellian_factors(grid, 1.0, (0.5, -0.3), 1.2),
+                maxwellian_factors(grid, 0.4, (-1.0, 0.8), 0.7),
             ),
             0.0,
         )
-        target = kinetic_moments(f, grid, grid, dv)
+        target = kinetic_moments(f, grid, dv)
         out = lomac_project(f, target, 1.0, grid, dv, 0.0)
         diff = np.linalg.norm(out.materialize() - f.materialize())
         assert diff <= 1e-12 * np.linalg.norm(f.materialize())
@@ -859,12 +866,12 @@ class TestLomacProject:
         grid, dv = velocity_grid(64, 8.0)
         f = truncate(
             lr_add(
-                maxwellian_factors(grid, grid, 1.0, (0.5, -0.3), 1.2),
-                maxwellian_factors(grid, grid, 0.4, (-1.0, 0.8), 0.7),
+                maxwellian_factors(grid, 1.0, (0.5, -0.3), 1.2),
+                maxwellian_factors(grid, 0.4, (-1.0, 0.8), 0.7),
             ),
             0.0,
         )
-        target = kinetic_moments(f, grid, grid, dv)
+        target = kinetic_moments(f, grid, dv)
         h = np.sin(grid) * np.exp(-(grid**2) / 2.0)
         pert = LowRankFactors(h[:, None] * 1e-4, np.array([[1.0]]), h[:, None])
         fp = truncate(lr_add(f, pert), 0.0)
@@ -885,8 +892,8 @@ class TestLomacProject:
         grid, dv = velocity_grid(64, 8.0)
         f = truncate(
             lr_add(
-                maxwellian_factors(grid, grid, 1.0, (0.3, 0.4), 1.0),
-                maxwellian_factors(grid, grid, 0.5, (-0.8, -0.2), 0.6),
+                maxwellian_factors(grid, 1.0, (0.3, 0.4), 1.0),
+                maxwellian_factors(grid, 0.5, (-0.8, -0.2), 0.6),
             ),
             0.0,
         )
@@ -918,10 +925,10 @@ class TestLomacProject:
         rng = np.random.default_rng(61)
         t = 0.9 * 1836.0 + 100.0 / 1836.0 * 1836.0
         grid, dv = velocity_grid(64, 10.0 * math.sqrt(t))
-        base = maxwellian_factors(grid, grid, 1.0, (0.0, 0.0), t)
-        bump = maxwellian_factors(grid, grid, 1e-3, (20.0, -15.0), 0.5 * t)
+        base = maxwellian_factors(grid, 1.0, (0.0, 0.0), t)
+        bump = maxwellian_factors(grid, 1e-3, (20.0, -15.0), 0.5 * t)
         f = truncate(lr_add(base, bump), 0.0)
-        target = kinetic_moments(f, grid, grid, dv)
+        target = kinetic_moments(f, grid, dv)
         for _ in range(4):
             out = lomac_project(
                 f, target, 1.0, grid, dv, 1e-8 * spectral_scale(f)
@@ -940,11 +947,11 @@ class TestLbfpStep:
         grids, dvs, factors, states = [], [], [], []
         for sp in species:
             grid, dv = velocity_grid(64, 8.0 * math.sqrt(t / sp.mass) + 1.0)
-            f = maxwellian_factors(grid, grid, 1.0, u, t / sp.mass)
+            f = maxwellian_factors(grid, 1.0, u, t / sp.mass)
             grids.append(grid)
             dvs.append(dv)
             factors.append(f)
-            states.append(kinetic_moments(f, grid, grid, dv))
+            states.append(kinetic_moments(f, grid, dv))
         return LbfpSystem(species, grids, dvs, factors, states), t
 
     def test_common_maxwellian_persists(self):
@@ -959,11 +966,16 @@ class TestLbfpStep:
             tk = cur.states[a].temperature(cur.species[a].mass)
             assert abs(tk - t) <= 1e-11 * t
 
+    def test_infinite_tolerance_constant_rejected(self):
+        system = initialize_system(benchmark_species(), 16)
+        with pytest.raises(DimensionMismatch):
+            lbfp_step(system, get_table("be"), 0.1, math.inf)
+
     def test_species_mass_pinned(self):
         system = initialize_system(benchmark_species(), 64)
         cur, _diags = lbfp_step(system, get_table("dirk2"), 0.1, 1e-3)
         for a in range(2):
-            n = kinetic_moments(cur.factors[a], cur.grids[a], cur.grids[a], cur.dvs[a]).n
+            n = kinetic_moments(cur.factors[a], cur.grids[a], cur.dvs[a]).n
             assert abs(n - system.states[a].n) <= 1e-13 * system.states[a].n
 
     def test_invariants_over_twenty_steps(self):
@@ -975,7 +987,7 @@ class TestLbfpStep:
             for sp, f, g, dv in zip(
                 species, state.factors, state.grids, state.dvs
             ):
-                st = kinetic_moments(f, g, g, dv)
+                st = kinetic_moments(f, g, dv)
                 p1 += sp.mass * st.gam1
                 p2 += sp.mass * st.gam2
                 en += sp.mass * st.energy

@@ -638,7 +638,7 @@ class TestColumnMajorContract:
     def test_initial_conditions(self):
         grid, _ = velocity_grid(self.n, 8.0)
         species = SpeciesConfig("a", mass=1.0, charge=1.0, drift=(1.0, -0.5))
-        for f in (heat_initial_condition(self.n), bi_maxwellian_factors(grid, grid, species)):
+        for f in (heat_initial_condition(self.n), bi_maxwellian_factors(grid, species)):
             self.assert_column_major(f.u, f.v)
 
 
