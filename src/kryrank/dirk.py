@@ -8,6 +8,7 @@ is rejected and the bases regrown with that pair before all stages are
 retried.  Tables are stiffly accurate, so the step ends on the last stage core.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,10 @@ class ButcherTable:
     """Lower-triangular stage coefficients with a constant positive diagonal.
 
     Every table is stiffly accurate (Hairer & Wanner, Solving ODEs II, 1996),
-    so it is its stage matrix: the weights b are the last row of a, and the
-    abscissae c the row sums.  The constant diagonal (a singly diagonally
-    implicit table) and weights summing to 1 are enforced at construction.
+    so it is its stage matrix: the weights b are a's last row, the abscissae
+    c its row sums, and the last stage is the step end.  The constant
+    diagonal (a singly diagonally implicit table) and weights summing to 1
+    are enforced at construction.
     """
 
     name: str
@@ -44,14 +46,6 @@ class ButcherTable:
             raise DimensionMismatch("stage diagonal must be constant")
         if abs(a[-1].sum() - 1.0) > 1e-14:
             raise DimensionMismatch("stage weights do not sum to 1")
-
-    @property
-    def b(self):
-        return self.a[-1]
-
-    @property
-    def c(self):
-        return self.a.sum(axis=1)
 
     @property
     def stages(self):
@@ -96,8 +90,8 @@ def get_table(name):
 
 def assemble_stage_operator(d_op, dt, akk):
     """I/2 - dt*akk*D as a new operator; the halves of the two sides add to I."""
-    if dt <= 0 or akk <= 0:
-        raise DimensionMismatch("need dt > 0 and akk > 0")
+    if not (0 < dt < math.inf and 0 < akk < math.inf):
+        raise DimensionMismatch("need finite dt > 0 and akk > 0, got dt=%g, akk=%g" % (dt, akk))
     return d_op.scaled_shifted(0.5, -dt * akk)
 
 
@@ -133,8 +127,8 @@ def dirk_step(f_n, table, dt, generators, tolerance, post_process=None):
     d1, d2 = generators
     akk = table.a[0, 0]
     ops = (assemble_stage_operator(d1, dt, akk), assemble_stage_operator(d2, dt, akk))
-    u, cores, v, diag = adaptive_stage_solve(ops, f_n, tolerance, table.a)
-    f_raw = LowRankFactors(u, cores[-1], v, orthonormal=True)
+    u, core, v, diag = adaptive_stage_solve(ops, f_n, tolerance, table.a)
+    f_raw = LowRankFactors(u, core, v, orthonormal=True)
     f_next = post_process(f_raw) if post_process is not None else f_raw
     return f_next, StepDiagnostics(
         krylov_iterations=diag.iterations,

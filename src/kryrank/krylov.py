@@ -169,17 +169,18 @@ class SolveDiagnostics:
 
 
 def stage_sweep(b0, coeff, solve):
-    """The DIRK stage recursion, once for every stage solver.
+    """The DIRK stage recursion, the only one in the package.
 
     Yields (B_k, Y_k) for k = 1..s with Y_k = solve(B_k) and
     B_k = B_0 + sum_{l<k} coeff[k,l] * (Y_l - B_l)/coeff[l,l]: projected
     cores in ``adaptive_stage_solve``, dense states in
-    ``reference.dense_dirk_step``.  When resumed after stage k < s it forms
-    that stage's increment in B_k's own buffer (a fresh n x n array per stage
-    faults in new pages, which at n = 256 costs about as much as the stage
-    itself), so a caller reads B_k before it resumes; the last B_s is left
-    intact, since no stage reads its increment.  ``solve`` must return a new
-    array.
+    ``reference.dense_dirk_step`` and moment changes in ``lbfp.moment_step``.
+    The tables are stiffly accurate, so each caller's step end is the last
+    Y_s.  When resumed after stage k < s the sweep forms that stage's
+    increment in B_k's own buffer (a fresh n x n array per stage faults in
+    new pages, which at n = 256 costs about as much as the stage itself), so
+    a caller reads B_k before it resumes; the last B_s is left intact, since
+    no stage reads its increment.  ``solve`` must return a new array.
     """
     s = coeff.shape[0]
     incs = []
@@ -207,31 +208,29 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
         Factored right-hand side seeding both bases.  Its core in them is
         formed once: ``b.s``, or one projection when ``b`` is not orthonormal.
     tol : float
-        Residual tolerance of every stage (strict ``<`` acceptance).
+        Residual tolerance in [0, inf) of every stage (strict ``<`` acceptance).
     coeff : (s, s) ndarray
         Lower-triangular stage coefficients; ``stage_sweep`` forms stage k's
         rhs B~1 + sum_{l<k} coeff[k,l] * (S_l - B~_l)/coeff[l,l].
 
-    Returns (u, cores, v, diagnostics); one core per stage.  Any stage
-    failing the tolerance rejects the whole sweep and triggers one growth
-    round before all stages are retried.  Each round projects and factors
-    the pair once (``eigh`` when both projected blocks are symmetric, real
-    Schur forms otherwise), and every stage only back-solves.
+    Returns (u, core, v, diagnostics), with the step end as ``core``: the
+    last stage's.  A stage failing the tolerance rejects the sweep, and one
+    growth round runs before every stage is retried.  Each round projects and
+    factors the pair once (``eigh`` when both projected blocks are symmetric,
+    real Schur forms otherwise), and every stage only back-solves.
     """
+    if not 0 <= tol < math.inf:
+        raise DimensionMismatch("stage tolerance must be finite and >= 0, got %g" % tol)
     op1, op2 = ops
-    s = coeff.shape[0]
     ub = seed_basis(b.u, orthonormal=b.orthonormal)
     vb = seed_basis(b.v, orthonormal=b.orthonormal)
     core = b.s if b.orthonormal else (ub.q.T @ b.u) @ b.s @ (b.v.T @ vb.q)
     history = []
     rejects = []
-    best = None
-    saturated = False
     for m in range(max_iter + 1):
         system = assemble_galerkin(op1, op2, ub.q, vb.q, core)
         schur = sylvester_schur(system.a1, system.a2)
         solve = functools.partial(solve_sylvester_dense, system.a1, system.a2, schur=schur)
-        cores = []
         stage_res = []
         for k, (bk, sk) in enumerate(stage_sweep(system.b, coeff, solve)):
             res = residual_norm(replace(system, b=bk), sk)
@@ -241,11 +240,9 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
             if not (res < tol):
                 rejects.append(k)
                 break
-            cores.append(sk)
+        else:
+            return ub.q, sk, vb.q, SolveDiagnostics(m, ub.rank, vb.rank, stage_res, rejects)
         history.append(stage_res[-1])
-        if len(cores) == s:
-            diag = SolveDiagnostics(m, ub.rank, vb.rank, stage_res, rejects)
-            return ub.q, cores, vb.q, diag
         if m == max_iter:
             break
         # free the n x r remainders before growth allocates
@@ -258,8 +255,9 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
             vb = grow_basis(vb, op2)
             grew = True
         if not grew:
-            saturated = True
             break
+    # only a basis that could not grow stops the loop before its cap
+    saturated = m < max_iter
     exc = MaxIterationsExceeded(
         "stage residual %.3e above tolerance after %d growth rounds%s"
         % (history[-1], len(history) - 1, " (basis saturated)" if saturated else ""),
@@ -273,7 +271,7 @@ def adaptive_stage_solve(ops, b, tol, coeff, max_iter=50):
 
 def solve_adaptive(a1, a2, b, eps_tol, max_iter=50):
     """Adaptive-rank solve of A1 F + F A2^T = B to Frobenius residual < eps_tol."""
-    u, cores, v, diag = adaptive_stage_solve(
+    u, core, v, diag = adaptive_stage_solve(
         (a1, a2), b, eps_tol, np.ones((1, 1)), max_iter=max_iter
     )
-    return LowRankFactors(u, cores[0], v, orthonormal=True), diag
+    return LowRankFactors(u, core, v, orthonormal=True), diag

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NewtonDivergence, NonPositiveDiffusion, SolveFailure
 from .dirk import dirk_step
-from .krylov import lte_tolerance
+from .krylov import lte_tolerance, stage_sweep
 from .linalg import TridiagonalOperator
 from .lowrank import (
     LowRankFactors,
@@ -285,7 +285,7 @@ def _fd_jacobian(resid, y, g):
 def _moment_stage_solve(r, akk, dt, arrs, scale, max_newton=50):
     """Solve y = r + dt*akk*f(y) by damping-free Newton with a FD Jacobian.
 
-    Returns f(y) at the solution, the stage derivative the step end is built from.
+    Returns f(y) at the solution, the stage derivative.
     """
     y = r.copy()
     history = []
@@ -326,29 +326,33 @@ def _moment_stage_solve(r, akk, dt, arrs, scale, max_newton=50):
 def moment_step(states, species, table, dt):
     """Step-end moment states of one DIRK step of the moment system.
 
-    The step end is assembled from the stage derivatives, y + dt*sum b_k f_k,
-    so linear invariants of the rhs are conserved to rounding independent of
-    the Newton tolerance.  That is why this nonlinear recursion does not use
-    ``krylov.stage_sweep``, whose increments (Y_k - B_k)/a_kk are the stage
-    derivatives only to the Newton tolerance.
+    ``krylov.stage_sweep`` runs on the change z = y - y0 from z = 0 (a sweep
+    of y itself loses digits in its increments).  Stage k returns
+    Z_k = B_k + dt*a_kk*f(y_k) from its Newton solution y_k, so the
+    increments (Z_k - B_k)/a_kk are dt*f(y_k) to rounding, and the step end
+    y0 + Z_s conserves linear invariants of the rhs to rounding, whatever the
+    Newton tolerance.  A dt that is not positive and finite raises
+    DimensionMismatch.
     """
+    if not 0 < dt < math.inf:
+        raise DimensionMismatch("moment step needs a positive finite dt, got %g" % dt)
     y0 = _pack(states)
     arrs = _species_arrays(states, species)
     scale = 1.0 + float(np.max(np.abs(y0)))
-    fs = []
-    for k in range(table.stages):
-        r = y0.copy()
-        for l in range(k):
-            r += dt * table.a[k, l] * fs[l]
-        try:
-            fs.append(_moment_stage_solve(r, float(table.a[k, k]), dt, arrs, scale))
-        except NewtonDivergence as exc:
-            exc.where["stage"] = k
-            raise
-    y1 = y0.copy()
-    for k, fk in enumerate(fs):
-        y1 += dt * table.b[k] * fk
-    return _unpack(y1, states)
+    akk = float(table.a[0, 0])
+
+    def solve(b):
+        return b + dt * akk * _moment_stage_solve(y0 + b, akk, dt, arrs, scale)
+
+    # k counts the stages done, so on a failure it is the failing stage
+    k = 0
+    try:
+        for k, (_, z) in enumerate(stage_sweep(np.zeros_like(y0), table.a, solve), 1):
+            pass
+    except NewtonDivergence as exc:
+        exc.where["stage"] = k
+        raise
+    return _unpack(y0 + z, states)
 
 
 def chang_cooper_delta(w):

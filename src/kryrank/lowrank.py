@@ -1,5 +1,6 @@
 """Low-rank matrix factors F = U S V^T and operations that stay in factored form."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ def truncate(f, eps):
     (core absorbs the triangular factors).  At least one mode is always kept so
     the result never has rank zero.  Output factors are orthonormal.
     """
-    if eps < 0:
-        raise DimensionMismatch("truncation threshold must be >= 0")
+    if not 0 <= eps < math.inf:
+        raise DimensionMismatch("truncation threshold must be finite and >= 0, got %g" % eps)
     if f.orthonormal:
         u, core, v = f.u, f.s, f.v
     else:
@@ -110,6 +111,8 @@ def conservative_truncate(f, range_u, range_v, rows_u, rows_v, modes, target, ep
     column-major factors of rank at most rank(f) + range columns; the layout
     carries into the next step's Krylov seeds and every n-by-r pass over them.
     """
+    if not 0 <= eps < math.inf:
+        raise DimensionMismatch("truncation threshold must be finite and >= 0, got %g" % eps)
     modes = np.asarray(modes, dtype=float)
     qu, qv, core_f, cu, cv = joint_basis(f, range_u, range_v)
     kmat = ((rows_u @ qu).T @ modes @ (rows_v @ qv)).reshape(len(modes), -1)

@@ -6,6 +6,8 @@ analytic decay of a single Fourier mode under the discrete heat operator,
 and direct arithmetic on the order conditions.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -41,7 +43,7 @@ def scalar_dirk_oracle(table, lam, dt, y0, steps):
             )
             yk = acc / (1.0 - dt * lam * table.a[k, k])
             stage_f.append(yk)
-        y = y + dt * lam * float(np.dot(table.b, stage_f))
+        y = y + dt * lam * float(np.dot(table.a[-1], stage_f))
     return y
 
 
@@ -59,8 +61,8 @@ class TestButcherTables:
     def test_backward_euler_entries(self):
         t = get_table("be")
         assert np.array_equal(t.a, np.array([[1.0]]))
-        assert np.array_equal(t.b, np.array([1.0]))
-        assert np.array_equal(t.c, np.array([1.0]))
+        assert np.array_equal(t.a[-1], np.array([1.0]))
+        assert np.array_equal(t.a.sum(axis=1), np.array([1.0]))
         assert t.order == 1
 
     def test_dirk2_entries(self):
@@ -68,12 +70,12 @@ class TestButcherTables:
         gamma = 1.0 - np.sqrt(2.0) / 2.0
         want = np.array([[gamma, 0.0], [1.0 - gamma, gamma]])
         assert np.abs(t.a - want).max() <= 1e-15
-        assert np.abs(t.b - want[1]).max() <= 1e-15
+        assert np.abs(t.a[-1] - want[1]).max() <= 1e-15
         assert t.order == 2
 
     def test_dirk3_order_conditions(self):
         t = get_table("dirk3")
-        b, c, a = t.b, t.c, t.a
+        b, c, a = t.a[-1], t.a.sum(axis=1), t.a
         # third-order conditions; floor set by the 10-digit root constant
         assert abs(b.sum() - 1.0) <= 1e-14
         assert abs(np.dot(b, c) - 0.5) <= 1e-9
@@ -84,7 +86,7 @@ class TestButcherTables:
         # every condition up to the stated order, so dirk2's b.c = 1/2 too;
         # dirk3's floor is set by its 10-digit root constant
         for name, t in builtin_tables().items():
-            b, c, a = t.b, t.c, t.a
+            b, c, a = t.a[-1], t.a.sum(axis=1), t.a
             conditions = {
                 1: [(b.sum(), 1.0)],
                 2: [(np.dot(b, c), 0.5)],
@@ -155,6 +157,17 @@ class TestStageOperator:
                 assert np.array_equal(got, want), name
 
 
+    @pytest.mark.parametrize(
+        "dt, akk", [(math.nan, 0.5), (math.inf, 0.5), (0.0, 0.5), (0.1, math.nan), (0.1, -1.0)]
+    )
+    def test_non_positive_or_non_finite_step_rejected(self, dt, akk):
+        # `dt <= 0 or akk <= 0` alone lets NaN and inf through to the
+        # operator's own finiteness check, whose message names neither
+        d = build_heat_operator(8, 0.5, 1.0 / 8)
+        with pytest.raises(DimensionMismatch, match="dt > 0 and akk > 0"):
+            assemble_stage_operator(d, dt, akk)
+
+
 def stage_ops(d, table, dt):
     return (assemble_stage_operator(d, dt, table.a[0, 0]),) * 2
 
@@ -169,12 +182,13 @@ class TestStageRhs:
         ops = stage_ops(build_heat_operator(n, 0.5, 1.0 / n), table, 0.01)
         u = np.linalg.qr(rng.standard_normal((n, 2)))[0]
         b = LowRankFactors(u, np.diag([1.0, 0.3]), u, orthonormal=True)
-        qu, cores, qv, _ = adaptive_stage_solve(ops, b, 1e-10, table.a)
+        # the table's first row alone: the solve returns that stage's core
+        qu, core, qv, _ = adaptive_stage_solve(ops, b, 1e-10, table.a[:1, :1])
         # independent route: dense Galerkin projection and scipy's solver
         a1 = qu.T @ ops[0].dense() @ qu
         a2 = qv.T @ ops[1].dense() @ qv
         want = scipy.linalg.solve_sylvester(a1, a2.T, qu.T @ b.materialize() @ qv)
-        assert np.abs(cores[0] - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(core - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_stationary_increments(self):
         # zero generators make every stage operator I/2, so S_k = B~_k, the
@@ -185,11 +199,13 @@ class TestStageRhs:
         b = LowRankFactors(
             np.eye(n)[:, :2], np.array([[1.0, 2.0], [0.5, 3.0]]), np.eye(n)[:, 1:3]
         )
-        qu, cores, qv, _ = adaptive_stage_solve(
-            stage_ops(zero, table, 0.3), b, 1e-12, table.a
-        )
-        b1 = qu.T @ b.materialize() @ qv
-        for core in cores:
+        # the solve returns the last stage's core, so each leading block of
+        # the table gives one stage
+        for k in range(1, table.stages + 1):
+            qu, core, qv, _ = adaptive_stage_solve(
+                stage_ops(zero, table, 0.3), b, 1e-12, table.a[:k, :k]
+            )
+            b1 = qu.T @ b.materialize() @ qv
             assert np.abs(core - b1).max() <= 1e-14
 
     @pytest.mark.parametrize("name", ["be", "dirk2", "dirk3"])
@@ -289,6 +305,14 @@ class TestDirkStep:
         assert np.array_equal(stepped.u, direct.u)
         assert np.array_equal(stepped.s, direct.s)
         assert np.array_equal(stepped.v, direct.v)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+    def test_tolerance_outside_zero_to_inf_rejected(self, tol):
+        # unchecked, inf accepts a heat step at round 0 with residual 0.46
+        n = 16
+        d = build_heat_operator(n, 0.5, 1.0 / n)
+        with pytest.raises(DimensionMismatch, match="tolerance"):
+            dirk_step(heat_initial_condition(n), get_table("dirk2"), 0.01, (d, d), tol)
 
     def test_zero_generators_preserve_state(self):
         rng = np.random.default_rng(2)

@@ -6,11 +6,13 @@ bounds, dense quadrature for masses, and dense SVD truncation for the
 correction's complement.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from kryrank.dirk import dirk_step, get_table
-from kryrank.errors import NonPositiveDiffusion
+from kryrank.errors import DimensionMismatch, NonPositiveDiffusion
 from kryrank.heat import (
     build_heat_operator,
     discrete_mass,
@@ -155,6 +157,13 @@ class TestMassAndCorrection:
         out = lomac_null_correction(f, n_exact, dx, dx, eps)
         gap = np.abs(out.materialize() - truncate(f, eps).materialize()).max()
         assert gap <= 4.0 * eps
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0])
+    def test_threshold_outside_zero_to_inf_rejected(self, eps):
+        n = 16
+        f = random_orthonormal_factors(np.random.default_rng(6), n, 3)
+        with pytest.raises(DimensionMismatch, match="threshold"):
+            lomac_null_correction(f, 1.0, 1.0 / n, 1.0 / n, eps)
 
     def test_complement_has_zero_mass(self):
         rng = np.random.default_rng(4)

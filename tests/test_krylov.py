@@ -351,11 +351,11 @@ class TestRoundingLevelDeflation:
         ops, f, tol, table, post = slow_heat_step
         rounds = []
         for _step in range(35, 49):
-            u, cores, v, diag = krylov.adaptive_stage_solve(ops, f, tol, table.a)
+            u, core, v, diag = krylov.adaptive_stage_solve(ops, f, tol, table.a)
             assert len(diag.stage_residuals) == table.stages
             assert max(diag.stage_residuals) < tol
             rounds.append(diag.iterations)
-            f = post(LowRankFactors(u, cores[-1], v, orthonormal=True))
+            f = post(LowRankFactors(u, core, v, orthonormal=True))
         # measured: one round in each of these steps, 8-12 under 1e-10
         assert max(rounds) <= 2, rounds
 
@@ -614,6 +614,17 @@ class TestResidualNorm:
 
 
 class TestSolveAdaptive:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_tolerance_outside_zero_to_inf_rejected_before_seeding(self, tol, monkeypatch):
+        # unchecked, nan and -1 grow the bases to saturation and blame that
+        seeds = []
+        monkeypatch.setattr(krylov, "seed_basis", lambda *args, **kw: seeds.append(args))
+        rng = np.random.default_rng(40)
+        a1, a2 = random_dd_tridiag(rng, 16), random_dd_tridiag(rng, 16)
+        with pytest.raises(DimensionMismatch, match="tolerance"):
+            krylov.adaptive_stage_solve((a1, a2), random_rhs(rng, 16, 16, 2), tol, np.ones((1, 1)))
+        assert seeds == []
+
     def test_half_identity_converges_immediately(self):
         rng = np.random.default_rng(31)
         n = 16

@@ -576,7 +576,8 @@ class TestMomentDirk:
         end = moment_step(states, OJE_PAIR, get_table("dirk3"), 0.3)
         assert [st.n for st in end] == [st.n for st in states]
 
-    def test_long_run_momentum_constant(self):
+    @pytest.mark.parametrize("name", ["be", "dirk2", "dirk3"])
+    def test_long_run_invariants_constant(self, name):
         species = benchmark_species()
         states = initialize_system(species, 64).states
         p0 = total_invariants(states, species)
@@ -585,10 +586,11 @@ class TestMomentDirk:
             for sp, st in zip(species, states)
         )
         for _ in range(100):
-            states = moment_step(states, species, get_table("be"), 0.1)
+            states = moment_step(states, species, get_table(name), 0.1)
         p1 = total_invariants(states, species)
         assert abs(p1[0] - p0[0]) <= 1e-12 * pscale
         assert abs(p1[1] - p0[1]) <= 1e-12 * pscale
+        assert abs(p1[2] - p0[2]) <= 1e-12 * abs(p0[2])
 
     @pytest.mark.xfail(
         strict=True,
@@ -620,6 +622,22 @@ class TestMomentDirk:
             states = moment_step(states, species, get_table("be"), 0.1)
         for sp, st in zip(species, states):
             assert abs(st.temperature(sp.mass) - tbar) <= 1e-6 * tbar
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_non_positive_or_non_finite_dt_rejected(self, dt, monkeypatch):
+        # typed and before any Newton work, with warnings as errors: unchecked,
+        # inf raises a RuntimeWarning from the FD Jacobian, nan and inf a
+        # NewtonDivergence, and 0 and -0.1 return a step
+        calls = []
+        monkeypatch.setattr(lbfp, "_moment_stage_solve", lambda *args: calls.append(args))
+        system = initialize_system(benchmark_species(), 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match="positive finite dt"):
+                moment_step(system.states, system.species, get_table("dirk2"), dt)
+            with pytest.raises(DimensionMismatch, match="positive finite dt"):
+                lbfp_step(system, get_table("dirk2"), dt, 1e-3)
+        assert calls == []
 
     def test_newton_divergence_reports_history(self):
         with pytest.raises(NewtonDivergence) as info:
@@ -848,6 +866,14 @@ class TestLomacProject:
             assert abs(got[2] - want[2]) <= 1e-12 * mscale
             assert abs(got[3] - want[3]) <= 1e-12 * want[3]
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0])
+    def test_threshold_outside_zero_to_inf_rejected(self, eps):
+        # unchecked, nan cuts the remainder to one mode and -1 keeps all of it
+        grid, dv = velocity_grid(32, 8.0)
+        f = maxwellian_factors(grid, 1.0, (0.5, -0.3), 1.2)
+        with pytest.raises(DimensionMismatch, match="threshold"):
+            lomac_project(f, kinetic_moments(f, grid, dv), 1.0, grid, dv, eps)
+
     def test_own_moments_identity(self):
         grid, dv = velocity_grid(64, 8.0)
         f = truncate(
@@ -970,6 +996,13 @@ class TestLbfpStep:
         system = initialize_system(benchmark_species(), 16)
         with pytest.raises(DimensionMismatch):
             lbfp_step(system, get_table("be"), 0.1, math.inf)
+
+    @pytest.mark.parametrize("eps_rel", [math.nan, math.inf, -1.0])
+    def test_truncation_threshold_outside_zero_to_inf_rejected(self, eps_rel):
+        # unchecked, eps_rel=nan returns a step with no error
+        system = initialize_system(benchmark_species(), 16)
+        with pytest.raises(DimensionMismatch, match="threshold"):
+            lbfp_step(system, get_table("be"), 0.1, 1e-3, eps_rel=eps_rel)
 
     def test_species_mass_pinned(self):
         system = initialize_system(benchmark_species(), 64)

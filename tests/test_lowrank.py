@@ -5,6 +5,7 @@ Frobenius norms, and 2-D midpoint quadrature on the materialized grid for
 the moment functionals both models read through ``lr_moments``.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -111,6 +112,14 @@ class TestTruncate:
         f = LowRankFactors(u, np.diag([1.0, 0.5]), u, orthonormal=True)
         assert truncate(f, 0.5).rank == 1
         assert truncate(f, 0.4999).rank == 2
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0])
+    def test_threshold_outside_zero_to_inf_rejected(self, eps):
+        # unchecked, nan and inf return rank 1
+        u = np.eye(4)[:, :2]
+        f = LowRankFactors(u, np.diag([1.0, 0.5]), u, orthonormal=True)
+        with pytest.raises(DimensionMismatch, match="threshold"):
+            truncate(f, eps)
 
     def test_rank_floor_keeps_top_mode(self):
         u = np.eye(4)[:, :2]

@@ -429,6 +429,15 @@ class TestDenseLbfpStep:
         for new in (dense, low):
             assert new.states == want
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_non_positive_or_non_finite_dt_rejected(self, dt):
+        system = initialize_system(benchmark_species(), 16)
+        dense = replace(system, factors=[f.materialize() for f in system.factors])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match="positive finite dt"):
+                dense_lbfp_step(dense, get_table("dirk3"), dt)
+
     def test_mass_conserved_per_species(self):
         system = initialize_system(benchmark_species(), 48)
         dense_fs = [f.materialize() for f in system.factors]
