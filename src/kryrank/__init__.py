@@ -7,91 +7,11 @@ truncations pin physically invariant moments.  Two driver models ship with
 the package: the periodic 2-D heat equation and a multi-species
 Lenard-Bernstein collision benchmark, with a CLI running convergence,
 relaxation, and complexity experiments.
+
+The package exports only ``load_config``; import everything else from its
+module, e.g. ``from kryrank.krylov import solve_adaptive``.
 """
 
-from .config import ExperimentConfig, load_config, validate_config
-from .dirk import (
-    ButcherTable,
-    StepDiagnostics,
-    assemble_stage_operator,
-    builtin_tables,
-    dirk_step,
-    get_table,
-)
-from .errors import (
-    BasisSaturated,
-    ConfigError,
-    ConvergenceFailure,
-    DimensionMismatch,
-    KryrankError,
-    MaxIterationsExceeded,
-    NewtonDivergence,
-    NonPositiveDiffusion,
-    SingularOperator,
-    SolveFailure,
-    SpectralOverlap,
-)
-from .heat import (
-    build_heat_operator,
-    discrete_mass,
-    heat_grid,
-    heat_initial_condition,
-    lomac_null_correction,
-)
-from .krylov import (
-    ExtendedKrylovBasis,
-    SolveDiagnostics,
-    adaptive_stage_solve,
-    assemble_galerkin,
-    grow_basis,
-    lte_tolerance,
-    residual_norm,
-    seed_basis,
-    solve_adaptive,
-)
-from .lbfp import (
-    LbfpSystem,
-    MomentState,
-    SpeciesConfig,
-    benchmark_species,
-    bi_maxwellian_factors,
-    build_lbfp_operators,
-    chang_cooper_delta,
-    collision_coefficients,
-    equilibrium_state,
-    initialize_system,
-    kinetic_moments,
-    lbfp_step,
-    lomac_project,
-    maxwellian_factors,
-    moment_step,
-    total_invariants,
-    velocity_grid,
-)
-from .linalg import (
-    TridiagonalOperator,
-    mgs_qr,
-    reduced_svd,
-    solve_sylvester_dense,
-    sylvester_schur,
-)
-from .lowrank import (
-    LowRankFactors,
-    conservative_truncate,
-    lr_add,
-    lr_frobenius,
-    lr_moments,
-    spectral_scale,
-    truncate,
-)
-from .reference import (
-    circulant_eigenbasis,
-    dense_dirk_step,
-    dense_lbfp_step,
-    heat_reference,
-    l1_distance,
-)
+from .config import load_config
 
-__version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = ["load_config"]

@@ -3,6 +3,7 @@
 Exit codes: 0 success, 1 runtime failure (solver or self-check), 2 bad
 configuration.  The output directory comes from the config file, overridden
 by KRYRANK_OUT and then by --out; no other environment variable is read.
+Overrides are validated with the file, so an empty one is a config error.
 """
 
 import argparse
@@ -210,12 +211,9 @@ def _canonical_lines(cfg):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    out = args.out if args.out is not None else os.environ.get("KRYRANK_OUT")
     try:
-        cfg = load_config(args.config)
-        out_override = args.out
-        if out_override is None:
-            out_override = os.environ.get("KRYRANK_OUT")
-        cfg = cfg.with_overrides(output=out_override, seed=args.seed)
+        cfg = load_config(args.config, {"output": out, "seed": args.seed})
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

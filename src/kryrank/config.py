@@ -1,6 +1,6 @@
 """Experiment configuration: one YAML document per run, validated up front.
 
-Grammar (all keys lowercase; unknown top-level keys rejected):
+Grammar (all keys lowercase; an unknown key at any level is rejected):
 
     kind: heat-convergence | lbfp-relax | complexity-sweep   (required)
     integrator: be | dirk2 | dirk3                           (required)
@@ -19,12 +19,12 @@ Grammar (all keys lowercase; unknown top-level keys rejected):
     species: [{name, mass, charge, density, temperature, drift}, ...]  # lbfp kinds
     grid_halfwidth: float      # lbfp kinds: velocity span in thermal speeds, default 10
     timing_reps: int           # complexity-sweep repetitions, default 5
-    seed: int                  # default 0
+    seed: int                  # >= 0, default 0
     output: str                # default "out"
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import yaml
 
@@ -68,14 +68,6 @@ class ExperimentConfig:
     seed: int
     output: str
 
-    def with_overrides(self, output=None, seed=None):
-        cfg = self
-        if output is not None:
-            cfg = replace(cfg, output=str(output))
-        if seed is not None:
-            cfg = replace(cfg, seed=int(seed))
-        return cfg
-
 
 def _as_float(value, fieldname, positive=False, nonnegative=False):
     try:
@@ -112,12 +104,20 @@ def _as_list(value):
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
-def _section(doc, key):
+def _check_keys(mapping, allowed, path=""):
+    """Reject the first key of ``mapping`` outside ``allowed``, naming its full path."""
+    for key in sorted(mapping, key=str):
+        if key not in allowed:
+            raise ConfigError("unknown key", path + str(key))
+
+
+def _section(doc, key, allowed):
     sec = doc.get(key, {})
     if sec is None:
         sec = {}
     if not isinstance(sec, dict):
         raise ConfigError("expected a mapping", key)
+    _check_keys(sec, allowed, key + ".")
     return sec
 
 
@@ -127,6 +127,7 @@ def _parse_species(blocks):
         path = "species[%d]" % i
         if not isinstance(blk, dict):
             raise ConfigError("expected a mapping", path)
+        _check_keys(blk, ("name", "mass", "charge", "density", "temperature", "drift"), path + ".")
         for req in ("name", "mass", "charge"):
             if req not in blk:
                 raise ConfigError("missing required key", "%s.%s" % (path, req))
@@ -168,9 +169,7 @@ def validate_config(doc):
     """Turn a parsed YAML mapping into an ExperimentConfig or raise ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
-    unknown = sorted(set(doc) - set(_TOP_KEYS))
-    if unknown:
-        raise ConfigError("unknown keys: %s" % ", ".join(unknown))
+    _check_keys(doc, _TOP_KEYS)
 
     kind = doc.get("kind")
     if kind not in KINDS:
@@ -185,7 +184,7 @@ def validate_config(doc):
         if kind not in _TOP_KEYS[key]:
             raise ConfigError("applies to %s only, not %s" % ("/".join(_TOP_KEYS[key]), kind), key)
 
-    grid = _section(doc, "grid")
+    grid = _section(doc, "grid", ("n",))
     if "n" not in grid:
         raise ConfigError("missing required key", "grid.n")
     n_min = 3 if kind == "heat-convergence" else MIN_VELOCITY_CELLS
@@ -197,7 +196,7 @@ def validate_config(doc):
     if kind != "complexity-sweep" and len(ns) != 1:
         raise ConfigError("exactly one grid size for kind %s" % kind, "grid.n")
 
-    time_sec = _section(doc, "time")
+    time_sec = _section(doc, "time", ("t_final", "lambda", "dt"))
     if "t_final" not in time_sec:
         raise ConfigError("missing required key", "time.t_final")
     t_final = _as_float(time_sec["t_final"], "time.t_final", positive=True)
@@ -228,7 +227,7 @@ def validate_config(doc):
         lambdas = ()
         dt = _as_float(time_sec["dt"], "time.dt", positive=True)
 
-    trunc = _section(doc, "truncation")
+    trunc = _section(doc, "truncation", ("eps_rel",))
     default_eps = 1e-10 if kind == "heat-convergence" else 1e-8
     eps_rel = _as_float(
         trunc.get("eps_rel", default_eps), "truncation.eps_rel", nonnegative=True
@@ -268,7 +267,7 @@ def validate_config(doc):
         doc.get("grid_halfwidth", 10.0), "grid_halfwidth", positive=True
     )
     timing_reps = _as_int(doc.get("timing_reps", 5), "timing_reps", minimum=1)
-    seed = _as_int(doc.get("seed", 0), "seed")
+    seed = _as_int(doc.get("seed", 0), "seed", minimum=0)
     output = doc.get("output", "out")
     if not isinstance(output, str) or not output:
         raise ConfigError("expected a nonempty string", "output")
@@ -293,8 +292,12 @@ def validate_config(doc):
     )
 
 
-def load_config(path):
-    """Parse and validate the YAML file at ``path``."""
+def load_config(path, overrides=None):
+    """Parse the YAML file at ``path`` and validate it.
+
+    Each non-None value of ``overrides`` replaces the file's top-level key of
+    the same name first, so it meets the same checks.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
@@ -302,4 +305,6 @@ def load_config(path):
         raise ConfigError("cannot read %s: %s" % (path, exc)) from None
     except yaml.YAMLError as exc:
         raise ConfigError("invalid YAML in %s: %s" % (path, exc)) from None
+    if isinstance(doc, dict):
+        doc.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     return validate_config(doc)

@@ -222,6 +222,44 @@ class TestValidate:
             assert "config error" in err and "diffusion[1]" in err
         assert not (tmp_path / "out_h").exists()
 
+    @pytest.mark.parametrize(
+        "make_config, extra, argv, env, field",
+        [
+            (heat_cfg, "", ["--out", ""], None, "output"),
+            (heat_cfg, "", [], "", "output"),
+            (heat_cfg, "", ["--seed", "-1"], None, "seed"),
+            (heat_cfg, "seed: -3\n", [], None, "seed"),
+            (heat_cfg, "truncation: {eps_rell: 1e-3}\n", [], None, "truncation.eps_rell"),
+            (lbfp_cfg, "species:\n  - {name: p, mass: 1, charge: 1, temprature: 5}\n", [],
+             None, "species[0].temprature"),
+        ],
+        ids=["empty-out", "empty-env", "negative-seed-flag", "negative-seed", "truncation-key",
+             "species-key"],
+    )
+    def test_bad_setting_exits_two_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, make_config, extra, argv, env, field
+    ):
+        # overrides meet the file's checks; an empty output directory would
+        # otherwise be the working directory
+        cfg = make_config(tmp_path)
+        Path(cfg).write_text(Path(cfg).read_text() + extra)
+        if env is None:
+            monkeypatch.delenv("KRYRANK_OUT", raising=False)
+        else:
+            monkeypatch.setenv("KRYRANK_OUT", env)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", cfg, *argv]) == 2
+        err = capsys.readouterr().err
+        assert "config error: %s:" % field in err
+        assert os.listdir(tmp_path) == ["cfg.yaml"]
+
+
+class TestPackage:
+    def test_star_import_binds_only_load_config(self):
+        names = {}
+        exec("from kryrank import *", names)
+        assert set(names) - {"__builtins__"} == {"load_config"}
+
 
 class TestRunHeat:
     def test_writes_both_files_and_reports(self, tmp_path, capsys):

@@ -117,6 +117,22 @@ class TestRejections:
             validate_config(heat_doc(stepsize=0.1))
         assert "stepsize" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({**heat_doc(), "grid": {"n": 64, "m": 32}}, "grid.m"),
+            ({**heat_doc(), "time": {"t_final": 0.05, "lambda": [100], "t_end": 1}},
+             "time.t_end"),
+            (heat_doc(truncation={"eps_rell": 1e-3}), "truncation.eps_rell"),
+            (lbfp_doc(species=[{"name": "p", "mass": 1.0, "charge": 1.0, "temprature": 5}]),
+             "species[0].temprature"),
+        ],
+        ids=["grid", "time", "truncation", "species"],
+    )
+    def test_unknown_nested_key(self, doc, field):
+        # a misspelled key would otherwise leave its setting at the default
+        assert "unknown key" in str(rejected(doc, field))
+
     def test_bad_kind_and_integrator(self):
         rejected(heat_doc(kind="diffusion"), "kind")
         rejected(heat_doc(integrator="rk4"), "integrator")
@@ -252,6 +268,9 @@ class TestRejections:
         rejected(heat_doc(grid_halfwidth=0.0), "grid_halfwidth")
         rejected(heat_doc(timing_reps=0), "timing_reps")
         rejected(heat_doc(seed="abc"), "seed")
+        # numpy's generators take only non-negative seeds
+        assert ">= 0" in str(rejected(heat_doc(seed=-3), "seed"))
+        assert validate_config(heat_doc(seed=0)).seed == 0
         with pytest.raises(ConfigError):
             validate_config(heat_doc(output=""))
 
@@ -280,13 +299,18 @@ class TestRejections:
 
 
 class TestOverridesAndLoading:
-    def test_with_overrides(self):
-        cfg = validate_config(heat_doc())
-        out = cfg.with_overrides(output="elsewhere", seed=7)
-        assert out.output == "elsewhere" and out.seed == 7
-        assert cfg.output == "out" and cfg.seed == 0
-        same = cfg.with_overrides()
-        assert same == cfg
+    def test_load_config_overrides(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({**heat_doc(), "seed": 3, "output": "mine"}))
+        cfg = load_config(str(path), {"output": "elsewhere", "seed": None})
+        assert cfg.output == "elsewhere" and cfg.seed == 3
+        assert load_config(str(path), {"seed": 7}).seed == 7
+        assert load_config(str(path)) == load_config(str(path), {})
+        # an override meets the file's checks
+        for overrides, field in (({"output": ""}, "output"), ({"seed": -1}, "seed")):
+            with pytest.raises(ConfigError) as info:
+                load_config(str(path), overrides)
+            assert info.value.field == field
 
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "run.yaml"
